@@ -12,19 +12,19 @@ FUZZTIME ?= 10s
 FUZZ_PKGS = ./internal/openflow ./internal/packet ./internal/pcap ./internal/storm
 
 # `make storm` settings: one seeded fuzzing campaign against a live
-# deployment (see internal/storm). CI runs storm-smoke non-gating.
+# deployment (see internal/storm). CI runs storm-smoke as a gate.
 STORM_TOPO ?= ft4
 STORM_STEPS ?= 500
 STORM_SEED ?= 1
 
 # `make bench` settings: packages with benchmarks, selection regex, and
 # repeat count (6 runs is what benchstat wants for a stable comparison).
-BENCH_PKGS = . ./internal/report
+BENCH_PKGS = .
 BENCH ?= .
 BENCHTIME ?= 200ms
 BENCHCOUNT ?= 6
 
-.PHONY: build test vet fmt lint race fuzz check bench bench-smoke storm storm-smoke
+.PHONY: build test vet fmt lint race fuzz check bench storm storm-smoke
 
 build:
 	$(GO) build ./...
@@ -72,17 +72,10 @@ storm-smoke:
 		$(GO) run ./cmd/veridp-storm -topo $$topo -steps 200 -seed $(STORM_SEED); \
 	done
 
-# Benchmark run: plain `go test -bench` text (feed BENCH.txt pairs to
-# benchstat for before/after comparisons) plus a JSON rendering committed
-# as the tracked baseline.
+# Micro-benchmark run: plain `go test -bench` text (feed BENCH.txt pairs
+# to benchstat for before/after comparisons). End-to-end numbers come from
+# the socket-level harness: `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) $(BENCH_PKGS) | tee BENCH.txt
-	$(GO) run ./cmd/bench2json < BENCH.txt > BENCH_baseline.json
-	@echo "wrote BENCH.txt and BENCH_baseline.json"
-
-# One iteration per benchmark: proves every benchmark still compiles and
-# runs. CI uses this non-gating; it says nothing about performance.
-bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime 1x -count 1 $(BENCH_PKGS)
 
 check: vet fmt lint race

@@ -54,8 +54,8 @@ func TestATPGSetCoverSmallerThanCandidates(t *testing.T) {
 	_, pt := figure5()
 	probes := GenerateATPGProbes(pt)
 	// The greedy cover should not exceed the number of path entries.
-	if len(probes) > pt.NumPaths() {
-		t.Fatalf("set cover grew: %d probes for %d paths", len(probes), pt.NumPaths())
+	if len(probes) > pt.Stats().Paths {
+		t.Fatalf("set cover grew: %d probes for %d paths", len(probes), pt.Stats().Paths)
 	}
 }
 

@@ -596,19 +596,7 @@ func (t *Table) NodeCount(f Ref) int {
 //
 //lint:allocfree
 func (t *Table) Eval(f Ref, assignment []byte) bool {
-	t.check(f)
-	if len(assignment) != t.numVars {
-		panic(fmt.Sprintf("bdd: Eval assignment length %d, want %d", len(assignment), t.numVars))
-	}
-	for f != True && f != False {
-		n := t.nodes[f]
-		if assignment[n.level] != 0 {
-			f = n.hi
-		} else {
-			f = n.lo
-		}
-	}
-	return f == True
+	return t.View().Eval(f, assignment)
 }
 
 // ClearCaches drops the operation memo tables (but not the hash-cons table,

@@ -25,17 +25,7 @@ type Builder struct {
 
 // Build runs Algorithm 2 from every edge port.
 func (b *Builder) Build() *PathTable {
-	pt := &PathTable{
-		Net:          b.Net,
-		Space:        b.Space,
-		Params:       b.Params,
-		Configs:      b.Configs,
-		entries:      make(map[tableKey][]*PathEntry),
-		hopIndex:     make(map[topo.PortKey][]*PathEntry),
-		arrivals:     make(map[topo.SwitchID][]*arrival),
-		arrivalIndex: make(map[topo.PortKey][]*arrival),
-		transfer:     make(map[topo.SwitchID]map[flowtable.PortPair][]flowtable.TransferEntry, len(b.Configs)),
-	}
+	pt := newPathTable(b.Net, b.Space, b.Params, b.Configs)
 	for sw, cfg := range b.Configs {
 		pt.transfer[sw] = cfg.TransferFuncs(b.Space)
 	}

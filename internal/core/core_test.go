@@ -513,4 +513,9 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			t.Fatalf("incremental has spurious entry %s", k)
 		}
 	}
+	// The running totals behind Stats followed every shrink, merge and
+	// insert to the same place a from-scratch count lands.
+	if got, want := pt.Stats(), fresh.Stats(); got != want {
+		t.Fatalf("incremental stats %+v, scratch %+v", got, want)
+	}
 }

@@ -18,12 +18,26 @@
 // atomic pointer swap provides the happens-before edge that makes the
 // writer's appends visible to readers.
 //
-// Publication is copy-on-write at pair granularity. A snapshot is a shared
-// base map plus a small overlay of recently-changed pairs; ApplyDelta only
-// freezes the pairs it touched, and the overlay folds into a fresh base
-// once it grows past a quarter of the base. Frozen entries are copies, so
-// writer-side mutation of live entries (header shrinking, deletion marks)
-// never tears a published one.
+// Publication copies nothing: the writer's table *is* the next snapshot.
+// A Snapshot takes the table's pair index by value — an array of shard-map
+// references — and from then on shares every shard map, per-pair slice and
+// path entry with the writer. Three rules keep that sharing safe, all
+// enforced on the writer side (pathtable.go, PathTable.setPair):
+//
+//  1. A stored PathEntry is never written. §4.4's shrink, addPath's merge
+//     and SetParams' re-tag store a new entry instead.
+//  2. A stored per-pair slice is never written below its length. Changing
+//     or dropping an element means a fresh slice; appending past the
+//     length is allowed, because no holder of the shorter slice header can
+//     index the new element.
+//  3. A shard map a snapshot can reach is never written. Publication
+//     clears the table's ownership marks, and the first write to a shard
+//     afterwards clones that one map; older snapshots keep the original.
+//
+// So an update costs a clone of the few shards it writes (the index is
+// sharded by exit port precisely so that they are few — see pairIndex),
+// and the atomicity a reader needs comes from the pointer swap alone: it
+// pinned either the index from before the update or the one after.
 
 package core
 
@@ -41,15 +55,14 @@ import (
 
 // Snapshot is one immutable publication of the path table: verification and
 // lookup against it are lock-free and allocation-free, and all reads within
-// one Snapshot observe the same fully-applied update sequence. Entries
-// reachable from a Snapshot must not be mutated.
+// one Snapshot observe the same fully-applied update sequence.
 type Snapshot struct {
-	base    map[tableKey][]*PathEntry // frozen after publish; shared with older snapshots
-	overlay map[tableKey][]*PathEntry // frozen after publish; recently-updated pairs; nil slice = pair gone
-	view    bdd.View                  // frozen after publish
-	space   *header.Space             // frozen after publish
-	params  bloom.Params              // frozen after publish
-	epoch   uint64                    // frozen after publish; process-unique publication number
+	pairs  pairIndex     // frozen after publish; shard maps shared with older snapshots and the writer
+	view   bdd.View      // frozen after publish
+	space  *header.Space // frozen after publish
+	params bloom.Params  // frozen after publish
+	stats  Stats         // frozen after publish; the table's totals at publication
+	epoch  uint64        // frozen after publish; process-unique publication number
 }
 
 // snapEpoch numbers every snapshot publication in the process. It is
@@ -69,62 +82,34 @@ func nextEpoch() uint64 { return snapEpoch.Add(1) }
 //lint:allocfree
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// lookup resolves a pair against overlay-then-base.
-//
-//lint:allocfree
-func (s *Snapshot) lookup(k tableKey) []*PathEntry {
-	if s.overlay != nil {
-		if es, ok := s.overlay[k]; ok {
-			return es
-		}
-	}
-	return s.base[k]
-}
-
-// Lookup returns the live paths for an ⟨inport, outport⟩ pair. The returned
-// entries are frozen: safe to read from any goroutine, never mutated.
+// Lookup returns the paths for an ⟨inport, outport⟩ pair. The returned
+// entries are immutable: safe to read from any goroutine.
 //
 //lint:allocfree
 func (s *Snapshot) Lookup(in, out topo.PortKey) []*PathEntry {
-	return s.lookup(tableKey{in, out})
+	return s.pairs.get(tableKey{in, out})
 }
 
 // Params reports the Bloom configuration the snapshot's tags were derived
 // under.
 func (s *Snapshot) Params() bloom.Params { return s.params }
 
-// Verify implements Algorithm 3 on one tag report against this snapshot.
-// It is the lock-free twin of PathTable.Verify: safe from any number of
-// goroutines concurrently with table updates, and allocation-free.
+// Stats returns the table summary as of this publication.
+func (s *Snapshot) Stats() Stats { return s.stats }
+
+// Verify implements Algorithm 3 on one tag report against this snapshot:
+// safe from any number of goroutines concurrently with table updates, and
+// allocation-free.
 //
 //lint:allocfree
 func (s *Snapshot) Verify(r *packet.Report) Verdict {
-	paths := s.lookup(tableKey{r.Inport, r.Outport})
-	if len(paths) == 0 {
-		return Verdict{Reason: FailNoPair}
-	}
-	var matched *PathEntry
-	for _, e := range paths {
-		if !s.space.ContainsView(s.view, e.Headers, r.Header) {
-			continue
-		}
-		if e.Tag == r.Tag {
-			return Verdict{OK: true, Reason: FailNone, Matched: e}
-		}
-		if matched == nil {
-			matched = e
-		}
-	}
-	if matched != nil {
-		return Verdict{Reason: FailTagMismatch, Matched: matched}
-	}
-	return Verdict{Reason: FailNoHeaderMatch}
+	return verify(s.space, s.view, s.pairs.get(tableKey{r.Inport, r.Outport}), r)
 }
 
-// Handle publishes a PathTable for concurrent use: Verify/Lookup load the
-// current Snapshot atomically and never block, while the update methods
+// Handle publishes a PathTable for concurrent use: readers load the current
+// Snapshot atomically and never block, while the update methods
 // (ApplyDelta, SetParams, Compact, Swap) serialize on an internal mutex,
-// mutate the private table, and publish a fresh Snapshot on completion.
+// change the writer's table, and publish it as the next Snapshot.
 type Handle struct {
 	mu   sync.Mutex
 	work *PathTable // guarded by mu
@@ -136,8 +121,19 @@ type Handle struct {
 // Handle's update methods, or Inspect for serialized read access).
 func NewHandle(pt *PathTable) *Handle {
 	h := &Handle{work: pt}
-	h.cur.Store(freezeAll(pt))
+	h.publish()
 	return h
+}
+
+// publish makes the writer table's present state the current snapshot.
+// Clearing owned hands every shard map to the snapshot: the table's next
+// write to a shard clones it first.
+//
+// lint:held mu (or, in NewHandle, h is not shared yet)
+func (h *Handle) publish() {
+	pt := h.work
+	pt.owned = [pairShards]bool{}
+	h.cur.Store(&Snapshot{pairs: pt.pairs, view: pt.Space.T.View(), space: pt.Space, params: pt.Params, stats: pt.Stats(), epoch: nextEpoch()})
 }
 
 // Current returns the latest published Snapshot. Callers that verify a
@@ -153,37 +149,26 @@ func (h *Handle) Current() *Snapshot { return h.cur.Load() }
 func (h *Handle) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Pairs whose entries the shrink step may touch, recorded up front;
-	// addPath records the pairs the re-traversal grows via pt.touched.
-	touched := make(map[tableKey]bool)
-	for _, e := range h.work.hopIndex[topo.PortKey{Switch: sw, Port: d.From}] {
-		if !e.deleted {
-			touched[entryKeyOf(e)] = true
-		}
-	}
-	h.work.touched = touched
 	err := h.work.ApplyDelta(sw, d)
-	h.work.touched = nil
-	h.publishTouched(h.work, touched)
+	h.publish()
 	return err
 }
 
 // SetParams re-derives every tag under a new Bloom configuration and
-// publishes a full snapshot.
+// publishes the result.
 func (h *Handle) SetParams(p bloom.Params) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.work.SetParams(p)
-	h.cur.Store(freezeAll(h.work))
+	h.publish()
 }
 
-// Compact garbage-collects the writer table and folds the published
-// overlay into a fresh base.
+// Compact garbage-collects the writer table's private indexes. Path entries
+// are untouched, so there is nothing new to publish.
 func (h *Handle) Compact() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.work.Compact()
-	h.cur.Store(freezeAll(h.work))
 }
 
 // Swap replaces the table wholesale: build receives the current table (for
@@ -194,7 +179,7 @@ func (h *Handle) Swap(build func(old *PathTable) *PathTable) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.work = build(h.work)
-	h.cur.Store(freezeAll(h.work))
+	h.publish()
 }
 
 // Inspect runs fn on the writer table under the update lock, without
@@ -215,69 +200,4 @@ func (h *Handle) Table() *PathTable {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.work
-}
-
-// entryKeyOf recovers an entry's ⟨inport, outport⟩ pair from its hop
-// sequence. Invariant (maintained by traverse/extend and checked by
-// construction): Path[0] enters at the entry's inport — Path[0].Switch is
-// the inport switch and Path[0].In its port — and the last hop exits at the
-// outport.
-func entryKeyOf(e *PathEntry) tableKey {
-	first, last := e.Path[0], e.Path[len(e.Path)-1]
-	return tableKey{
-		In:  topo.PortKey{Switch: first.Switch, Port: first.In},
-		Out: topo.PortKey{Switch: last.Switch, Port: last.Out},
-	}
-}
-
-// freezeKey copies a pair's live entries into immutable structs. The Path
-// slice is shared: addPath copies it at insert time and no code mutates a
-// recorded path in place.
-func freezeKey(pt *PathTable, k tableKey) []*PathEntry {
-	es := pt.entries[k]
-	out := make([]*PathEntry, 0, len(es))
-	for _, e := range es {
-		if e.deleted {
-			continue
-		}
-		out = append(out, &PathEntry{Headers: e.Headers, Path: e.Path, Tag: e.Tag})
-	}
-	return out
-}
-
-// freezeAll builds a from-scratch snapshot (empty overlay).
-func freezeAll(pt *PathTable) *Snapshot {
-	base := make(map[tableKey][]*PathEntry, len(pt.entries))
-	for k := range pt.entries {
-		if fs := freezeKey(pt, k); len(fs) > 0 {
-			base[k] = fs
-		}
-	}
-	return &Snapshot{base: base, view: pt.Space.T.View(), space: pt.Space, params: pt.Params, epoch: nextEpoch()}
-}
-
-// publishTouched publishes a snapshot that re-freezes only the touched
-// pairs of pt (the writer table, passed in by a caller holding mu), layered
-// over the previous snapshot's base. Once the overlay grows past a quarter
-// of the base it folds into a fresh base, keeping lookups at one map probe
-// in the steady state and publication cost proportional to the update's
-// footprint, not the table size.
-func (h *Handle) publishTouched(pt *PathTable, touched map[tableKey]bool) {
-	prev := h.cur.Load()
-	if len(prev.overlay)+len(touched) >= 32+len(prev.base)/4 {
-		h.cur.Store(freezeAll(pt))
-		return
-	}
-	ov := make(map[tableKey][]*PathEntry, len(prev.overlay)+len(touched))
-	for k, v := range prev.overlay {
-		ov[k] = v
-	}
-	for k := range touched {
-		if fs := freezeKey(pt, k); len(fs) > 0 {
-			ov[k] = fs
-		} else {
-			ov[k] = nil // pair emptied by this update
-		}
-	}
-	h.cur.Store(&Snapshot{base: prev.base, overlay: ov, view: pt.Space.T.View(), space: pt.Space, params: pt.Params, epoch: nextEpoch()})
 }

@@ -1,11 +1,12 @@
 //go:build race
 
-// Race-gated storm: Compact and Swap republish the whole table while
-// ApplyDelta churns the overlay and readers verify lock-free. The plain
-// test suite covers each update method's correctness single-threaded
+// Race-gated storm: ApplyDelta, SetParams, Compact and Swap all work on
+// the one table whose shard maps, slices and entries every published
+// snapshot shares, while readers verify and walk entries lock-free. The
+// plain test suite covers each update method's correctness single-threaded
 // (TestHandleMatchesTable); this file exists for what only the race
-// detector can prove — that freezeAll under a maintenance fold or a
-// wholesale swap has the happens-before edges to be read concurrently.
+// detector can prove — that no writer ever stores into memory a snapshot
+// can reach (the three sharing rules in handle.go).
 
 package core
 
@@ -13,17 +14,22 @@ import (
 	"sync"
 	"testing"
 
+	"veridp/internal/bdd"
+	"veridp/internal/bloom"
 	"veridp/internal/flowtable"
 	"veridp/internal/packet"
+	"veridp/internal/topo"
 )
 
-// TestHandleCompactSwapStorm runs three writers against pinned-snapshot
-// readers: one flips the host route through ApplyDelta (so Compact has a
-// live overlay to fold), one calls Compact in a loop, one calls Swap with
-// a republish-unchanged build. The reader invariant is the same as
+// TestHandleCompactSwapStorm runs four kinds of writer against
+// pinned-snapshot readers: one flips the host route through ApplyDelta,
+// and a maintenance loop calls Compact, Swap with a republish-unchanged
+// build, and SetParams with the parameters already in force (every entry
+// is re-stored, no tag moves). The reader invariant is the same as
 // TestHandleStormOneVerdict — each pinned snapshot verifies exactly one
-// of the two reports — and must survive the maintenance churn: a Compact
-// or Swap that published a half-frozen base would verify both or neither.
+// of the two reports — and each reader also reads every field of every
+// entry its snapshot returns for any pair, so an in-place write to a
+// shared entry, slice or shard map is a reported race.
 func TestHandleCompactSwapStorm(t *testing.T) {
 	d := newDiamondEnv(t)
 	h := NewHandle(d.pt)
@@ -43,6 +49,12 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 	}
 	rA := &packet.Report{Inport: d.pair[0], Outport: d.pair[1], Header: d.hdr, Tag: tagA}
 	rB := &packet.Report{Inport: d.pair[0], Outport: d.pair[1], Header: d.hdr, Tag: tagB}
+
+	// Every pair of the table: the flow's own, which each flip rewrites,
+	// and the drop pairs no delta touches, whose entries only SetParams
+	// replaces.
+	var pairs []tableKey
+	h.Table().Entries(func(in, out topo.PortKey, _ *PathEntry) { pairs = append(pairs, tableKey{in, out}) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -68,31 +80,45 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 						return
 					}
 				}
+				for _, k := range pairs {
+					for _, e := range s.Lookup(k.In, k.Out) {
+						var tag bloom.Tag
+						for _, hop := range e.Path {
+							tag = tag.Union(s.Params().Hash(hop.Bytes()))
+						}
+						if tag != e.Tag || e.Headers == bdd.False {
+							t.Errorf("snapshot entry %v: path folds to %v, headers %v", e, tag, e.Headers)
+							return
+						}
+					}
+				}
 			}
 		}()
 	}
 
-	// Maintenance writers: Compact folds whatever overlay the delta flips
-	// have built up; Swap republishes the (possibly mid-churn) table
-	// wholesale. Both serialize with ApplyDelta on h.mu, so the reader
-	// invariant must hold across every interleaving.
+	// Maintenance writers serialize with ApplyDelta on h.mu, so the reader
+	// invariant must hold across every interleaving. The flips go on until
+	// the maintenance rounds are done, so neither side can finish before
+	// the other was scheduled.
+	const flips, rounds = 100, 50
 	maintDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-maintDone:
-				return
-			default:
-			}
+		defer close(maintDone)
+		for i := 0; i < rounds; i++ {
 			h.Compact()
 			h.Swap(func(old *PathTable) *PathTable { return old })
+			h.SetParams(bloom.DefaultParams)
 		}
 	}()
 
-	const flips = 100
-	for i := 0; i < flips; i++ {
+	for i, busy := 0, true; i < flips || busy; i++ {
+		select {
+		case <-maintDone:
+			busy = false
+		default:
+		}
 		delta, err := d.tree.Remove(id)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +133,6 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(maintDone)
 	close(stop)
 	wg.Wait()
 

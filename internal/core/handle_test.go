@@ -209,6 +209,31 @@ func TestHandleMatchesTable(t *testing.T) {
 	check("after Compact")
 }
 
+// TestPublishCopiesNoEntries pins what publication costs: the snapshot takes
+// the writer's pair index as it stands, so republishing an FT(6) table (or
+// compacting it) allocates the Snapshot and nothing that grows with the
+// table — no per-entry or per-pair copy.
+func TestPublishCopiesNoEntries(t *testing.T) {
+	n := topo.FatTree(6)
+	c := controller.New(n, &dataplane.FabricInstaller{Fabric: dataplane.NewFabric(n)})
+	if err := c.RouteAllHosts(); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandle(buildTable(n, c))
+	if st := h.Current().Stats(); st.Pairs < 1000 {
+		t.Fatalf("FT(6) table has only %d pairs; the bound below would prove nothing", st.Pairs)
+	}
+	h.Compact() // the first rebuild may still grow an index list
+	const maxAllocs = 4
+	identity := func(old *PathTable) *PathTable { return old }
+	if avg := testing.AllocsPerRun(20, func() { h.Swap(identity) }); avg > maxAllocs {
+		t.Errorf("Swap(identity) allocates %.0f/op, want ≤ %d", avg, maxAllocs)
+	}
+	if avg := testing.AllocsPerRun(20, h.Compact); avg > maxAllocs {
+		t.Errorf("Compact allocates %.0f/op, want ≤ %d", avg, maxAllocs)
+	}
+}
+
 // TestVerifyAllocationFree pins the hot path's zero-allocation guarantee:
 // PathTable.Verify, the snapshot twin, and every verdict-cache path —
 // probe hit, probe miss + fill, and the batch API — must not allocate per

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"veridp/internal/bdd"
@@ -21,7 +22,9 @@ import (
 	"veridp/internal/topo"
 )
 
-// PathEntry is one path of the path table: ⟨headers, path, tag⟩.
+// PathEntry is one path of the path table: ⟨headers, path, tag⟩. An entry is
+// immutable once stored: an update that changes a path's header set or tag
+// stores a new entry, so a reader holding an old one never sees it move.
 type PathEntry struct {
 	// Headers is the set of packet headers admitted along this path.
 	Headers bdd.Ref
@@ -29,8 +32,6 @@ type PathEntry struct {
 	Path topo.Path
 	// Tag is the Bloom fold of the path's hops.
 	Tag bloom.Tag
-
-	deleted bool
 }
 
 // String renders the entry compactly.
@@ -44,10 +45,55 @@ type tableKey struct {
 	Out topo.PortKey
 }
 
+// pairShards is the number of shard maps a pairIndex spreads its pairs
+// over: enough that a rule update clones a small fraction of the pairs,
+// few enough that copying the index at publication is one cache-resident
+// array copy.
+const (
+	pairShardBits = 6
+	pairShards    = 1 << pairShardBits
+)
+
+// pairIndex maps every ⟨inport, outport⟩ pair to its paths. It is held by
+// value, and its shard maps are shared, by the writer's table and by every
+// published Snapshot; see the sharing rules in handle.go.
+//
+// The shard key is the exit port alone. A rule change moves a header set
+// between two output ports of one switch, and those headers leave the
+// network through few exits, but they may have entered anywhere — so the
+// pairs one update rewrites agree on Out and differ in In. Keyed by exit
+// they land in a handful of shards; keyed by the whole pair they would
+// scatter over all of them and every update would clone the full index.
+type pairIndex [pairShards]map[tableKey][]*PathEntry
+
+// shard picks the pair's shard from its exit port: Fibonacci hashing, of
+// which the top pairShardBits are kept.
+//
+//lint:allocfree
+func (k tableKey) shard() uint32 {
+	return (uint32(k.Out.Switch)<<16 | uint32(k.Out.Port)) * 0x9e3779b1 >> (32 - pairShardBits)
+}
+
+// get returns a pair's paths, nil when the pair has none.
+//
+//lint:allocfree
+func (p *pairIndex) get(k tableKey) []*PathEntry { return p[k.shard()][k] }
+
+// each calls fn for every populated pair; fn may call setPair for the pair
+// it was handed.
+func (p *pairIndex) each(fn func(k tableKey, es []*PathEntry)) {
+	for _, shard := range p {
+		for k, es := range shard {
+			fn(k, es)
+		}
+	}
+}
+
 // arrival records that, during Algorithm 2's recursive search, the header
 // set Headers reached switch-port At having entered the network at Inport
 // and traversed Prefix so far. §4.4's path-entry update replays forwarding
-// from these records when a rule changes a switch's behavior.
+// from these records when a rule changes a switch's behavior. Arrivals are
+// private to the writer, so unlike path entries they are updated in place.
 type arrival struct {
 	Inport  topo.PortKey
 	At      topo.PortID
@@ -62,6 +108,13 @@ type arrival struct {
 // Methods are not safe for concurrent use on their own; wrap the table in
 // a Handle to get lock-free concurrent verification with serialized,
 // atomically-published updates (the multi-threading §6.4 anticipates).
+//
+// The pair index follows three sharing rules, which are what let a Handle
+// publish the table without copying it: a stored PathEntry is never
+// written; a stored per-pair slice is never written below its length
+// (appending past it is fine — no holder of the shorter slice can see the
+// new element); and a shard map is written only while owned says no
+// Snapshot can reach it. Every change to the index goes through setPair.
 type PathTable struct {
 	Net    *topo.Network
 	Space  *header.Space
@@ -71,11 +124,21 @@ type PathTable struct {
 	// intended paths during localization.
 	Configs map[topo.SwitchID]*flowtable.SwitchConfig
 
-	entries map[tableKey][]*PathEntry
+	pairs pairIndex
+	// owned marks the shard maps allocated since the last publication —
+	// the only ones setPair may write in place. Handle.publish clears it.
+	owned [pairShards]bool
+	// Running totals over pairs, behind Stats. setPair keeps nPairs and
+	// nPaths; nHops moves where a path is first stored (addPath) or
+	// dropped (ApplyDelta's shrink).
+	nPairs, nPaths, nHops int
 
-	// hopIndex lists entries whose path exits through a given switch port
-	// (including ⊥ exits), for §4.4's "paths that pass port y" step.
-	hopIndex map[topo.PortKey][]*PathEntry
+	// hopIndex lists the pairs with a path that exits through a given
+	// switch port (including ⊥ exits), for §4.4's "paths that pass port y"
+	// step. A list names a pair once per such path, and may still name one
+	// whose paths have since left the port: the shrink step re-checks each
+	// path, and Compact rebuilds the lists.
+	hopIndex map[topo.PortKey][]tableKey
 
 	// arrivals and arrivalIndex support incremental re-traversal: arrivals
 	// by switch, and by hops of their prefixes for shrinking.
@@ -86,113 +149,71 @@ type PathTable struct {
 	// time; incremental updates patch the plain (nil-rewrite) guards
 	// (valid under §4.4's no-ACL, no-rewrite assumption).
 	transfer map[topo.SwitchID]map[flowtable.PortPair][]flowtable.TransferEntry
-
-	// touched, when non-nil, collects the ⟨inport, outport⟩ pairs addPath
-	// modifies — Handle sets it around ApplyDelta so snapshot publication
-	// re-freezes only the update's footprint.
-	touched map[tableKey]bool
 }
 
-// Pairs returns the number of ⟨inport, outport⟩ pairs with at least one
-// path — the "# entries" column of Table 2.
-func (pt *PathTable) Pairs() int {
-	n := 0
-	for k := range pt.entries {
-		if len(pt.live(k)) > 0 {
-			n++
+// newPathTable returns an empty table over the given network and space.
+func newPathTable(net *topo.Network, space *header.Space, params bloom.Params, configs map[topo.SwitchID]*flowtable.SwitchConfig) *PathTable {
+	return &PathTable{
+		Net:          net,
+		Space:        space,
+		Params:       params,
+		Configs:      configs,
+		hopIndex:     make(map[topo.PortKey][]tableKey),
+		arrivals:     make(map[topo.SwitchID][]*arrival),
+		arrivalIndex: make(map[topo.PortKey][]*arrival),
+		transfer:     make(map[topo.SwitchID]map[flowtable.PortPair][]flowtable.TransferEntry, len(configs)),
+	}
+}
+
+// setPair stores es as the pair's paths (an empty es removes the pair),
+// cloning the shard map first if a published Snapshot may still read it.
+// es must be a fresh slice, or the stored one appended to.
+func (pt *PathTable) setPair(k tableKey, es []*PathEntry) {
+	i := k.shard()
+	if !pt.owned[i] {
+		if pt.pairs[i] = maps.Clone(pt.pairs[i]); pt.pairs[i] == nil {
+			pt.pairs[i] = make(map[tableKey][]*PathEntry)
 		}
+		pt.owned[i] = true
 	}
-	return n
-}
-
-// live returns the non-deleted entries for a key, compacting in place.
-func (pt *PathTable) live(k tableKey) []*PathEntry {
-	es := pt.entries[k]
-	out := es[:0]
-	for _, e := range es {
-		if !e.deleted {
-			out = append(out, e)
+	old := len(pt.pairs[i][k])
+	pt.nPaths += len(es) - old
+	if len(es) == 0 {
+		delete(pt.pairs[i], k)
+		if old > 0 {
+			pt.nPairs--
 		}
+		return
 	}
-	if len(out) == 0 {
-		delete(pt.entries, k)
-		return nil
+	pt.pairs[i][k] = es
+	if old == 0 {
+		pt.nPairs++
 	}
-	pt.entries[k] = out
-	return out
-}
-
-// NumPaths returns the total number of paths — Table 2's "# paths".
-func (pt *PathTable) NumPaths() int {
-	n := 0
-	for k := range pt.entries {
-		n += len(pt.live(k))
-	}
-	return n
-}
-
-// AvgPathLength returns the mean number of hops per path — Table 2's
-// "avg. path len.".
-func (pt *PathTable) AvgPathLength() float64 {
-	paths, hops := 0, 0
-	for k := range pt.entries {
-		for _, e := range pt.live(k) {
-			paths++
-			hops += len(e.Path)
-		}
-	}
-	if paths == 0 {
-		return 0
-	}
-	return float64(hops) / float64(paths)
 }
 
 // PathsPerPair returns the path count of every populated pair, sorted
 // ascending — the distribution Figure 6 plots.
 func (pt *PathTable) PathsPerPair() []int {
-	var out []int
-	for k := range pt.entries {
-		if n := len(pt.live(k)); n > 0 {
-			out = append(out, n)
-		}
-	}
+	out := make([]int, 0, pt.nPairs)
+	pt.pairs.each(func(_ tableKey, es []*PathEntry) { out = append(out, len(es)) })
 	sort.Ints(out)
 	return out
 }
 
-// Lookup returns the live paths for an ⟨inport, outport⟩ pair. It is
-// read-only (no compaction), so Lookup and Verify may run concurrently
-// from many goroutines as long as no update (ApplyDelta, SetParams,
-// Compact) runs at the same time — the multi-threaded verification the
-// paper's §6.4 anticipates. The common no-deletions case returns the
-// internal slice without allocating.
+// Lookup returns the paths for an ⟨inport, outport⟩ pair. It is read-only,
+// so Lookup and Verify may run concurrently from many goroutines as long as
+// no update (ApplyDelta, SetParams, Compact) runs at the same time.
+//
+//lint:allocfree
 func (pt *PathTable) Lookup(in, out topo.PortKey) []*PathEntry {
-	es := pt.entries[tableKey{in, out}]
-	clean := true
-	for _, e := range es {
-		if e.deleted {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return es
-	}
-	out2 := make([]*PathEntry, 0, len(es))
-	for _, e := range es {
-		if !e.deleted {
-			out2 = append(out2, e)
-		}
-	}
-	return out2
+	return pt.pairs.get(tableKey{in, out})
 }
 
-// Entries invokes fn for every live entry; fn must not mutate the table.
+// Entries invokes fn for every entry, in pair order; fn must not mutate the
+// table.
 func (pt *PathTable) Entries(fn func(in, out topo.PortKey, e *PathEntry)) {
-	keys := make([]tableKey, 0, len(pt.entries))
-	for k := range pt.entries {
-		keys = append(keys, k)
-	}
+	keys := make([]tableKey, 0, pt.nPairs)
+	pt.pairs.each(func(k tableKey, _ []*PathEntry) { keys = append(keys, k) })
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.In != b.In {
@@ -207,7 +228,7 @@ func (pt *PathTable) Entries(fn func(in, out topo.PortKey, e *PathEntry)) {
 		return a.Out.Port < b.Out.Port
 	})
 	for _, k := range keys {
-		for _, e := range pt.live(k) {
+		for _, e := range pt.pairs.get(k) {
 			fn(k.In, k.Out, e)
 		}
 	}
@@ -216,24 +237,29 @@ func (pt *PathTable) Entries(fn func(in, out topo.PortKey, e *PathEntry)) {
 // addPath inserts a path entry, merging header sets when the identical hop
 // sequence is already present for the pair (which only happens during
 // incremental updates).
-func (pt *PathTable) addPath(in, out topo.PortKey, headers bdd.Ref, path topo.Path, tag bloom.Tag) *PathEntry {
+func (pt *PathTable) addPath(in, out topo.PortKey, headers bdd.Ref, path topo.Path, tag bloom.Tag) {
 	k := tableKey{in, out}
-	if pt.touched != nil {
-		pt.touched[k] = true
-	}
-	for _, e := range pt.live(k) {
+	es := pt.pairs.get(k)
+	for i, e := range es {
 		if samePath(e.Path, path) {
-			e.Headers = pt.Space.T.Or(e.Headers, headers)
-			return e
+			merged := append([]*PathEntry(nil), es...)
+			merged[i] = &PathEntry{Headers: pt.Space.T.Or(e.Headers, headers), Path: e.Path, Tag: e.Tag}
+			pt.setPair(k, merged)
+			return
 		}
 	}
 	e := &PathEntry{Headers: headers, Path: append(topo.Path(nil), path...), Tag: tag}
-	pt.entries[k] = append(pt.entries[k], e)
-	for _, hop := range e.Path {
+	pt.setPair(k, append(es, e))
+	pt.nHops += len(e.Path)
+	pt.indexHops(k, e.Path)
+}
+
+// indexHops lists pair k under every port its path exits through.
+func (pt *PathTable) indexHops(k tableKey, path topo.Path) {
+	for _, hop := range path {
 		pk := topo.PortKey{Switch: hop.Switch, Port: hop.Out}
-		pt.hopIndex[pk] = append(pt.hopIndex[pk], e)
+		pt.hopIndex[pk] = append(pt.hopIndex[pk], k)
 	}
-	return e
 }
 
 // addArrival records a traversal arrival for incremental updates.
@@ -263,33 +289,33 @@ func samePath(a, b topo.Path) bool {
 // without re-running Algorithm 2, since tags are a pure fold of each path.
 func (pt *PathTable) SetParams(p bloom.Params) {
 	pt.Params = p
-	fold := func(path topo.Path) bloom.Tag {
-		var t bloom.Tag
-		for _, hop := range path {
-			t = t.Union(p.Hash(hop.Bytes()))
+	pt.pairs.each(func(k tableKey, es []*PathEntry) {
+		retagged := make([]*PathEntry, len(es))
+		for i, e := range es {
+			retagged[i] = &PathEntry{Headers: e.Headers, Path: e.Path, Tag: pt.foldPath(e.Path)}
 		}
-		return t
-	}
-	for _, es := range pt.entries {
-		for _, e := range es {
-			e.Tag = fold(e.Path)
-		}
-	}
+		pt.setPair(k, retagged)
+	})
 	for _, as := range pt.arrivals {
 		for _, a := range as {
-			a.Tag = fold(a.Prefix)
+			a.Tag = pt.foldPath(a.Prefix)
 		}
 	}
 }
 
-// Stats summarizes the table for Table 2.
+// Stats summarizes the table for Table 2: populated ⟨inport, outport⟩
+// pairs ("# entries"), paths ("# paths"), and mean hops per path.
 type Stats struct {
 	Pairs         int
 	Paths         int
 	AvgPathLength float64
 }
 
-// Stats computes the summary.
+// Stats reads the summary off the running totals; it changes nothing.
 func (pt *PathTable) Stats() Stats {
-	return Stats{Pairs: pt.Pairs(), Paths: pt.NumPaths(), AvgPathLength: pt.AvgPathLength()}
+	st := Stats{Pairs: pt.nPairs, Paths: pt.nPaths}
+	if st.Paths > 0 {
+		st.AvgPathLength = float64(pt.nHops) / float64(st.Paths)
+	}
+	return st
 }

@@ -205,17 +205,7 @@ func Load(r io.Reader, net *topo.Network) (*PathTable, error) {
 		return nil, err
 	}
 
-	pt := &PathTable{
-		Net:          net,
-		Space:        space,
-		Params:       params,
-		Configs:      make(map[topo.SwitchID]*flowtable.SwitchConfig),
-		entries:      make(map[tableKey][]*PathEntry),
-		hopIndex:     make(map[topo.PortKey][]*PathEntry),
-		arrivals:     make(map[topo.SwitchID][]*arrival),
-		arrivalIndex: make(map[topo.PortKey][]*arrival),
-		transfer:     make(map[topo.SwitchID]map[flowtable.PortPair][]flowtable.TransferEntry),
-	}
+	pt := newPathTable(net, space, params, make(map[topo.SwitchID]*flowtable.SwitchConfig))
 
 	readU32 := func() (uint32, error) {
 		var v uint32

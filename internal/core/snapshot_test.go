@@ -102,7 +102,7 @@ func TestSnapshotSupportsIncrementalUpdates(t *testing.T) {
 	// The new space flows to s3's side... the delta moved 42.42/16 from ⊥
 	// to port 2 at s2; a report claiming that path should now verify IF the
 	// downstream continues. Just assert the table grew consistently.
-	if loaded.NumPaths() < pt.NumPaths() {
+	if loaded.Stats().Paths < pt.Stats().Paths {
 		t.Fatal("incremental update on a loaded table lost paths")
 	}
 }

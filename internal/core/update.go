@@ -50,14 +50,34 @@ func (pt *PathTable) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 
 	fromKey := topo.PortKey{Switch: sw, Port: d.From}
 
-	// Step 1a: shrink paths that exited S via From.
-	for _, e := range pt.hopIndex[fromKey] {
-		if e.deleted {
-			continue
+	// Step 1a: shrink paths that exited S via From. Entries are immutable,
+	// so each affected pair gets a fresh slice holding the untouched
+	// entries as they are and new entries for the shrunk ones.
+	for _, k := range pt.hopIndex[fromKey] {
+		es := pt.pairs.get(k)
+		var kept []*PathEntry
+		for i, e := range es {
+			h := e.Headers
+			if exitsThrough(e.Path, fromKey) {
+				h = pt.Space.T.Diff(h, d.Set)
+			}
+			if h == e.Headers {
+				if kept != nil {
+					kept = append(kept, e)
+				}
+				continue
+			}
+			if kept == nil {
+				kept = append(make([]*PathEntry, 0, len(es)), es[:i]...)
+			}
+			if h == bdd.False {
+				pt.nHops -= len(e.Path)
+				continue
+			}
+			kept = append(kept, &PathEntry{Headers: h, Path: e.Path, Tag: e.Tag})
 		}
-		e.Headers = pt.Space.T.Diff(e.Headers, d.Set)
-		if e.Headers == bdd.False {
-			e.deleted = true
+		if kept != nil {
+			pt.setPair(k, kept)
 		}
 	}
 	// Step 1b: shrink downstream arrival records whose prefix used that
@@ -128,35 +148,45 @@ func (pt *PathTable) visitedAlong(a *arrival) map[topo.PortKey]bool {
 	return visited
 }
 
-// Compact drops deleted entries and arrival records and rebuilds the
-// indexes. Long-running servers call it periodically; experiments call it
-// before comparing tables.
-func (pt *PathTable) Compact() {
-	for k := range pt.entries {
-		pt.live(k)
-	}
-	pt.hopIndex = make(map[topo.PortKey][]*PathEntry, len(pt.hopIndex))
-	for _, es := range pt.entries {
-		for _, e := range es {
-			for _, hop := range e.Path {
-				pk := topo.PortKey{Switch: hop.Switch, Port: hop.Out}
-				pt.hopIndex[pk] = append(pt.hopIndex[pk], e)
-			}
+// exitsThrough reports whether some hop of the path leaves through pk.
+func exitsThrough(path topo.Path, pk topo.PortKey) bool {
+	for _, hop := range path {
+		if hop.Switch == pk.Switch && hop.Out == pk.Port {
+			return true
 		}
 	}
-	arr := make(map[topo.SwitchID][]*arrival, len(pt.arrivals))
-	pt.arrivalIndex = make(map[topo.PortKey][]*arrival, len(pt.arrivalIndex))
+	return false
+}
+
+// Compact drops deleted arrival records and rebuilds the hop and arrival
+// indexes, in the storage they already have. It changes no path entry.
+// Long-running servers call it periodically.
+func (pt *PathTable) Compact() {
+	for pk, ks := range pt.hopIndex {
+		pt.hopIndex[pk] = ks[:0]
+	}
+	pt.pairs.each(func(k tableKey, es []*PathEntry) {
+		for _, e := range es {
+			pt.indexHops(k, e.Path)
+		}
+	})
+	for pk, as := range pt.arrivalIndex {
+		clear(as)
+		pt.arrivalIndex[pk] = as[:0]
+	}
 	for sw, as := range pt.arrivals {
+		live := as[:0]
 		for _, a := range as {
 			if a.deleted {
 				continue
 			}
-			arr[sw] = append(arr[sw], a)
+			live = append(live, a)
 			for _, hop := range a.Prefix {
 				pk := topo.PortKey{Switch: hop.Switch, Port: hop.Out}
 				pt.arrivalIndex[pk] = append(pt.arrivalIndex[pk], a)
 			}
 		}
+		clear(as[len(live):])
+		pt.arrivals[sw] = live
 	}
-	pt.arrivals = arr
 }

@@ -9,6 +9,8 @@ package core
 import (
 	"fmt"
 
+	"veridp/internal/bdd"
+	"veridp/internal/header"
 	"veridp/internal/packet"
 )
 
@@ -54,9 +56,20 @@ type Verdict struct {
 	Matched *PathEntry
 }
 
-// Verify implements Algorithm 3 on one tag report.
+// Verify implements Algorithm 3 on one tag report against the writer's
+// table. It must not run concurrently with an update; a Handle's Snapshot
+// offers the same verdicts lock-free.
+//
+//lint:allocfree
 func (pt *PathTable) Verify(r *packet.Report) Verdict {
-	paths := pt.Lookup(r.Inport, r.Outport)
+	return verify(pt.Space, pt.Space.T.View(), pt.Lookup(r.Inport, r.Outport), r)
+}
+
+// verify is Algorithm 3's scan over one pair's paths — the module's only
+// copy. view must span every Headers ref in paths.
+//
+//lint:allocfree
+func verify(space *header.Space, view bdd.View, paths []*PathEntry, r *packet.Report) Verdict {
 	if len(paths) == 0 {
 		return Verdict{Reason: FailNoPair}
 	}
@@ -65,7 +78,7 @@ func (pt *PathTable) Verify(r *packet.Report) Verdict {
 	// which keeps verification sound if incremental merges ever overlap.
 	var matched *PathEntry
 	for _, e := range paths {
-		if !pt.Space.Contains(e.Headers, r.Header) {
+		if !space.ContainsView(view, e.Headers, r.Header) {
 			continue
 		}
 		if e.Tag == r.Tag {

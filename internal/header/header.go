@@ -255,9 +255,7 @@ func (s *Space) HeaderSet(h Header) bdd.Ref {
 //
 //lint:allocfree
 func (s *Space) Contains(set bdd.Ref, h Header) bool {
-	var a [NumVars]byte
-	fillAssignment(&a, h)
-	return s.T.Eval(set, a[:])
+	return s.ContainsView(s.T.View(), set, h)
 }
 
 // ContainsView is Contains evaluated against an immutable BDD view instead

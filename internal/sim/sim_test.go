@@ -25,7 +25,7 @@ func TestFatTreeEnvConsistentByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := e.Table()
-	if pt.NumPaths() == 0 {
+	if pt.Stats().Paths == 0 {
 		t.Fatal("empty path table")
 	}
 	// Every ping verifies on a healthy network.
@@ -116,7 +116,7 @@ func TestInternet2Env(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := e.Table()
-	if pt.NumPaths() == 0 {
+	if pt.Stats().Paths == 0 {
 		t.Fatal("empty table")
 	}
 	// The Internet2 shape: 9 routers, short paths (paper: 2.89 avg).

@@ -356,7 +356,7 @@ func (e *engine) step(ctx context.Context, i int, st Step) (*Failure, error) {
 // cacheCoherenceOracle replays the sample ring: every verdict the cache
 // ever served must be recomputable, identically, by the uncached Verify
 // against the exact snapshot that served it — no matter how many
-// Compact/Swap/ApplyDelta publications (epoch bumps) have happened since.
+// Swap/ApplyDelta publications (epoch bumps) have happened since.
 // Snapshots are immutable, so any divergence means the cache associated a
 // verdict with the wrong key or the wrong epoch.
 func (e *engine) cacheCoherenceOracle(i int) *Failure {

@@ -24,7 +24,7 @@ const (
 	// is identical (OK, Reason, and Matched entry) to what the uncached
 	// Snapshot.Verify computes — checked differentially on every probe
 	// report and by replaying a sample ring of cached verdicts after each
-	// step, across Compact/Swap/ApplyDelta epoch changes.
+	// step, across Swap/ApplyDelta epoch changes.
 	OracleCacheCoherent = "cache-coherent"
 	// OracleNoFalsePositive: a probe whose actual path equals its
 	// intended path never produces a failing report; on a fault-free

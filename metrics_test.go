@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"veridp/internal/core"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -93,4 +96,36 @@ func TestMetricsConcurrentWithVerification(t *testing.T) {
 	if verified, violated := mon.Stats(); verified != base+workers*iters || violated != 0 {
 		t.Fatalf("stats = (%d, %d), want (%d, 0)", verified, violated, base+workers*iters)
 	}
+}
+
+// TestMetricsScrapeTakesNoUpdateLock holds the path table's update lock, as
+// a rebuild in ProxyHooks or a localization does, and scrapes meanwhile:
+// the gauges come from the published snapshot, so the scrape must return
+// before the lock is released.
+func TestMetricsScrapeTakesNoUpdateLock(t *testing.T) {
+	em, _ := buildFigure5(t)
+	mon := em.NewMonitor(MonitorConfig{})
+
+	locked, release, scraped := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mon.Handle().Inspect(func(*core.PathTable) {
+			close(locked)
+			<-release
+		})
+	}()
+	<-locked
+	go func() { scraped <- mon.WriteMetrics(io.Discard) }()
+	select {
+	case err := <-scraped:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("WriteMetrics waited for the update lock")
+	}
+	close(release)
+	wg.Wait()
 }

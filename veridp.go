@@ -266,8 +266,8 @@ func (m *Monitor) tally(r *Report, v core.Verdict) {
 	m.mu.Lock()
 	m.reasons[v.Reason.String()]++
 	m.mu.Unlock()
-	// Localization builds BDDs, which extends the shared table — Inspect
-	// serializes it against concurrent path-table updates.
+	// Localize builds no BDD: it walks Net, Configs and Params. Inspect is
+	// held because ProxyHooks edits the logical Configs under that lock.
 	var sw SwitchID
 	var candidates []Path
 	var ok bool
@@ -302,19 +302,6 @@ func (m *Monitor) Stats() (verified, violated uint64) {
 	return m.verified.Load(), m.violated.Load()
 }
 
-// CacheStats folds the verdict-cache hit/miss counters across every
-// BatchHandler worker. Zero/zero when no batch handler was ever built.
-func (m *Monitor) CacheStats() (hits, misses uint64) {
-	m.mu.Lock()
-	caches := m.caches
-	m.mu.Unlock()
-	for _, c := range caches {
-		hits += c.Hits()
-		misses += c.Misses()
-	}
-	return hits, misses
-}
-
 // PathTable exposes the underlying table for inspection (stats, entries).
 // Callers must not use it concurrently with HandleReport or rule updates;
 // concurrent deployments read through Handle instead.
@@ -328,9 +315,9 @@ func (m *Monitor) Handle() *core.Handle { return m.handle }
 // exposition format: verified/violated totals, violations by reason,
 // localizations by blamed switch, and path-table gauges.
 func (m *Monitor) WriteMetrics(w io.Writer) error {
-	// Stats compacts the table in place, so it needs the update lock.
-	var st core.Stats
-	m.handle.Inspect(func(pt *core.PathTable) { st = pt.Stats() })
+	// The published snapshot carries its own totals, so a scrape never
+	// waits for the update lock.
+	st := m.handle.Current().Stats()
 	m.mu.Lock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# TYPE veridp_reports_verified_total counter\n")
