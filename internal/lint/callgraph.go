@@ -33,8 +33,8 @@ type Program struct {
 	// program passes to close().
 	closedChans map[string]bool
 
-	mayAcquireMemo map[*FuncNode]map[lockKey]acquireInfo
-	mayBlockMemo   map[*FuncNode]*blockInfo
+	mayAcquireMemo map[*FuncNode]map[lockKey]reached[token.Pos]
+	mayBlockMemo   map[*FuncNode]*reached[blockSite]
 }
 
 type namedType struct {

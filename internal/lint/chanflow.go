@@ -45,6 +45,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,9 +277,8 @@ func closesParamFixpoint(prog *Program) map[*FuncNode][]int {
 		}
 	}
 	result := make(map[*FuncNode]map[int]bool)
-	changed := true
-	for changed {
-		changed = false
+	fixpoint(0, func() bool {
+		changed := false
 		for _, node := range prog.nodes {
 			params := paramIdx[node]
 			if params == nil {
@@ -321,7 +321,8 @@ func closesParamFixpoint(prog *Program) map[*FuncNode][]int {
 				}
 			})
 		}
-	}
+		return changed
+	})
 	out := make(map[*FuncNode][]int, len(result))
 	for node, set := range result {
 		for idx := range set {
@@ -393,19 +394,17 @@ type chanFlowState struct {
 }
 
 func (st *chanFlowState) clone() *chanFlowState {
-	c := &chanFlowState{
-		closed:   make(map[string]token.Pos, len(st.closed)),
-		nilChans: make(map[string]token.Pos, len(st.nilChans)),
+	return &chanFlowState{
+		closed:   maps.Clone(st.closed),
+		nilChans: maps.Clone(st.nilChans),
 		declLoop: st.declLoop, // shared: declarations are path-independent facts
 	}
-	for k, v := range st.closed {
-		c.closed[k] = v
-	}
-	for k, v := range st.nilChans {
-		c.nilChans[k] = v
-	}
-	return c
 }
+
+// join drops every branch exit: a close inside one branch is not assumed
+// on the joined path — "may" semantics would flood disjoint error/happy
+// close pairs with false positives.
+func (st *chanFlowState) join([]*chanFlowState) *chanFlowState { return st }
 
 // checkChanFunc runs the consumer-close scan and the path-sensitive
 // close/send sequence analysis over one function body.
@@ -450,59 +449,55 @@ func checkChanFunc(pass *Pass, node *FuncNode) {
 		}
 	})
 
-	st := &chanFlowState{
-		closed:   make(map[string]token.Pos),
-		nilChans: make(map[string]token.Pos),
-		declLoop: make(map[string]int),
+	w := &chanWalker{pass: pass, pkg: pkg}
+	w.flowWalker = flowWalker[*chanFlowState]{
+		state: &chanFlowState{
+			closed:   make(map[string]token.Pos),
+			nilChans: make(map[string]token.Pos),
+			declLoop: make(map[string]int),
+		},
+		leaf:  w.leafStmt,
+		comms: true,
 	}
-	walkChanStmts(pass, pkg, node.body().List, st, 0)
+	w.stmt(node.body())
 }
 
-// walkChanStmts walks one statement sequence, threading the path state.
-// Branch bodies run on clones (a close inside one branch is not assumed
-// on the joined path — "may" semantics would flood disjoint error/happy
-// close pairs with false positives).
-func walkChanStmts(pass *Pass, pkg *Package, stmts []ast.Stmt, st *chanFlowState, loopDepth int) {
-	for _, s := range stmts {
-		walkChanStmt(pass, pkg, s, st, loopDepth)
-	}
+// chanWalker threads the close/nil state through one body; it looks only
+// at statements (closes, sends, declarations, assignments), never inside
+// expressions.
+type chanWalker struct {
+	flowWalker[*chanFlowState]
+	pass *Pass
+	pkg  *Package
 }
 
-func walkChanStmt(pass *Pass, pkg *Package, s ast.Stmt, st *chanFlowState, loopDepth int) {
+func (w *chanWalker) leafStmt(s ast.Stmt) bool {
+	pkg, st := w.pkg, w.state
 	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		walkChanStmts(pass, pkg, s.List, st, loopDepth)
-	case *ast.LabeledStmt:
-		walkChanStmt(pass, pkg, s.Stmt, st, loopDepth)
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 			if ch, chOK := closeArg(pkg, call); chOK {
-				chanFlowClose(pass, pkg, call, ch, st, loopDepth, false)
-				return
+				w.close(call, ch, false)
 			}
 		}
 	case *ast.DeferStmt:
 		if ch, ok := closeArg(pkg, s.Call); ok {
-			chanFlowClose(pass, pkg, s.Call, ch, st, loopDepth, true)
+			w.close(s.Call, ch, true)
 		}
-	case *ast.GoStmt:
-		// The spawned body is its own FuncNode (literals) or declaration;
-		// nothing sequential happens on this path.
 	case *ast.SendStmt:
 		key := chanKey(pkg, s.Chan)
 		if key == "" {
-			return
+			break
 		}
 		if closedAt, isClosed := st.closed[key]; isClosed {
-			pass.Reportf(s.Arrow,
+			w.pass.Reportf(s.Arrow,
 				"send on %s after it was closed at %s — this path panics",
-				types.ExprString(s.Chan), pass.Prog.shortPos(closedAt))
+				types.ExprString(s.Chan), w.pass.Prog.shortPos(closedAt))
 		}
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok {
-			return
+			break
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
@@ -513,7 +508,7 @@ func walkChanStmt(pass *Pass, pkg *Package, s ast.Stmt, st *chanFlowState, loopD
 				if obj, ok := pkg.Info.Defs[name].(*types.Var); ok && isChanType(obj.Type()) {
 					key := localKey(obj)
 					st.nilChans[key] = name.Pos()
-					st.declLoop[key] = loopDepth
+					st.declLoop[key] = w.loops
 				}
 			}
 		}
@@ -541,58 +536,26 @@ func walkChanStmt(pass *Pass, pkg *Package, s ast.Stmt, st *chanFlowState, loopD
 			delete(st.closed, key)
 			delete(st.nilChans, key)
 			if s.Tok == token.DEFINE {
-				st.declLoop[key] = loopDepth
+				st.declLoop[key] = w.loops
 			}
-		}
-	case *ast.IfStmt:
-		walkChanStmt(pass, pkg, s.Init, st, loopDepth)
-		walkChanStmts(pass, pkg, s.Body.List, st.clone(), loopDepth)
-		if s.Else != nil {
-			walkChanStmt(pass, pkg, s.Else, st.clone(), loopDepth)
-		}
-	case *ast.ForStmt:
-		walkChanStmt(pass, pkg, s.Init, st, loopDepth)
-		walkChanStmts(pass, pkg, s.Body.List, st.clone(), loopDepth+1)
-	case *ast.RangeStmt:
-		walkChanStmts(pass, pkg, s.Body.List, st.clone(), loopDepth+1)
-	case *ast.SwitchStmt:
-		walkChanStmt(pass, pkg, s.Init, st, loopDepth)
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				walkChanStmts(pass, pkg, cc.Body, st.clone(), loopDepth)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				walkChanStmts(pass, pkg, cc.Body, st.clone(), loopDepth)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			cc, ok := clause.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			branch := st.clone()
-			walkChanStmt(pass, pkg, cc.Comm, branch, loopDepth)
-			walkChanStmts(pass, pkg, cc.Body, branch, loopDepth)
 		}
 	}
+	return true
 }
 
-// chanFlowClose handles one close site in the sequential walk: nil
-// close, double close on a path, and close-in-loop.
-func chanFlowClose(pass *Pass, pkg *Package, call *ast.CallExpr, ch ast.Expr, st *chanFlowState, loopDepth int, deferred bool) {
-	key := chanKey(pkg, ch)
+// close handles one close site in the sequential walk: nil close, double
+// close on a path, and close-in-loop.
+func (w *chanWalker) close(call *ast.CallExpr, ch ast.Expr, deferred bool) {
+	key := chanKey(w.pkg, ch)
 	if key == "" {
 		return
 	}
+	st, prog := w.state, w.pass.Prog
 	display := types.ExprString(ch)
 	if declPos, isNil := st.nilChans[key]; isNil {
-		pass.Reportf(call.Pos(),
+		w.pass.Reportf(call.Pos(),
 			"close of %s, which was declared at %s and never made — closing a nil channel panics",
-			display, pass.Prog.shortPos(declPos))
+			display, prog.shortPos(declPos))
 		return
 	}
 	if deferred {
@@ -601,13 +564,13 @@ func chanFlowClose(pass *Pass, pkg *Package, call *ast.CallExpr, ch ast.Expr, st
 		return
 	}
 	if prev, isClosed := st.closed[key]; isClosed {
-		pass.Reportf(call.Pos(),
+		w.pass.Reportf(call.Pos(),
 			"%s is closed twice on this path (first at %s) — the second close panics",
-			display, pass.Prog.shortPos(prev))
+			display, prog.shortPos(prev))
 		return
 	}
-	if decl, ok := st.declLoop[key]; (ok && loopDepth > decl) || (!ok && loopDepth > 0) {
-		pass.Reportf(call.Pos(),
+	if decl, ok := st.declLoop[key]; (ok && w.loops > decl) || (!ok && w.loops > 0) {
+		w.pass.Reportf(call.Pos(),
 			"close of %s inside a loop it was not declared in — the next iteration double-closes",
 			display)
 	}
@@ -636,11 +599,8 @@ func checkBusySpin(pass *Pass, node *FuncNode) {
 			case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt:
 				return // nested frames are their own spin scope
 			case *ast.SelectStmt:
-				for _, clause := range n.Body.List {
-					if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-						sel, def = n, cc
-						return
-					}
+				if cc := selectDefault(n); cc != nil {
+					sel, def = n, cc
 				}
 				return // a select without default blocks; no spin here
 			}
@@ -679,13 +639,9 @@ func bodyBlocksOrYields(pass *Pass, pkg *Package, body *ast.BlockStmt, skip *ast
 		// Another select with a default is itself non-blocking, and its
 		// comm cases do not block either; only its default path counts.
 		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, clause := range sel.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-					if stmtsBlockOrYield(pass, pkg, cc.Body) {
-						found = true
-					}
-					return
-				}
+			if cc := selectDefault(sel); cc != nil {
+				found = stmtsBlockOrYield(pass, pkg, cc.Body)
+				return
 			}
 		}
 		if nodeBlocksOrYields(pass, pkg, n) {
@@ -733,12 +689,7 @@ func nodeBlocksOrYields(pass *Pass, pkg *Package, n ast.Node) bool {
 	case *ast.RangeStmt:
 		return isChanType(typeOf(pkg, n.X))
 	case *ast.SelectStmt:
-		for _, clause := range n.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				return false
-			}
-		}
-		return true
+		return selectDefault(n) == nil
 	case *ast.CallExpr:
 		sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 		if !ok {

@@ -176,7 +176,7 @@ func checkBlockingLoops(pass *Pass) {
 // checkBlockingBody scans one goroutine body for condition-less loops
 // that reach a blocking operation and cannot exit. Nested literals are
 // separate goroutines (or stored closures) with their own spawn sites.
-func checkBlockingBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn token.Pos, blocks map[*FuncNode]*blockInfo, reported map[token.Pos]bool) {
+func checkBlockingBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn token.Pos, blocks map[*FuncNode]*reached[blockSite], reported map[token.Pos]bool) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -198,7 +198,7 @@ func checkBlockingBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn toke
 // loopBlocks names the first blocking operation the loop body reaches —
 // a direct channel op, an intrinsic blocker, or a resolvable call chain
 // that may block — or "" when the body cannot block.
-func loopBlocks(pass *Pass, pkg *Package, body *ast.BlockStmt, blocks map[*FuncNode]*blockInfo) string {
+func loopBlocks(pass *Pass, pkg *Package, body *ast.BlockStmt, blocks map[*FuncNode]*reached[blockSite]) string {
 	found := ""
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
@@ -233,7 +233,7 @@ func loopBlocks(pass *Pass, pkg *Package, body *ast.BlockStmt, blocks map[*FuncN
 			}
 			for _, callee := range pass.Prog.resolveCall(pkg, n) {
 				if info := blocks[callee]; info != nil {
-					found = info.what + " (via " + callee.Name + ")"
+					found = info.at.what + " (via " + callee.Name + ")"
 					return
 				}
 			}

@@ -37,6 +37,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -152,12 +154,8 @@ func runDeadline(pass *Pass) {
 		}
 	}
 	// Summaries converge quickly: arms/needs only grow, and chains are
-	// bounded by the source text. Iterate to fixpoint.
-	for i := 0; i < 20; i++ {
-		if !st.iterate() {
-			break
-		}
-	}
+	// bounded by the source text.
+	fixpoint(20, st.iterate)
 	st.report()
 }
 
@@ -197,11 +195,12 @@ func (st *dlState) iterate() bool {
 	sites := make(map[*FuncNode][]dlCallSite)
 	var direct []dlNeed
 	for _, n := range st.prog.nodes {
-		w := &dlWalker{st: st, node: n, armed: make(map[string]dlKind)}
+		w := &dlWalker{st: st, node: n}
+		w.flowWalker = flowWalker[armedSet]{state: make(armedSet), leaf: w.leafStmt, expr: w.walkExpr}
 		for chain := range st.annot[n] {
-			w.armed[chain] = dlRead | dlWrite
+			w.state[chain] = dlRead | dlWrite
 		}
-		w.walkStmt(n.body())
+		w.stmt(n.body())
 		arms[n] = w.exitArms()
 		needs[n] = w.needs
 		direct = append(direct, w.direct...)
@@ -212,45 +211,9 @@ func (st *dlState) iterate() bool {
 		}
 	}
 	changed := len(st.arms) == 0 ||
-		!dlArmsEqual(arms, st.arms) || !dlNeedsEqual(needs, st.needs)
+		!maps.EqualFunc(arms, st.arms, slices.Equal) || !maps.EqualFunc(needs, st.needs, slices.Equal)
 	st.arms, st.needs, st.sites, st.direct = arms, needs, sites, direct
 	return changed
-}
-
-func dlArmsEqual(a, b map[*FuncNode][]dlArm) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, av := range a {
-		bv, ok := b[n]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func dlNeedsEqual(a, b map[*FuncNode][]dlNeed) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, av := range a {
-		bv, ok := b[n]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // report resolves needs against call sites and emits diagnostics. Direct
@@ -419,22 +382,39 @@ func classifyIdent(fn *FuncNode, name string) (dlRoot, int) {
 	return dlRootOther, 0
 }
 
+// armedSet is the deadline path state: connection chain → deadline
+// kinds armed so far.
+type armedSet map[string]dlKind
+
+func (a armedSet) clone() armedSet { return maps.Clone(a) }
+
+// join is "armed on every path": the intersection of the exits. With no
+// exit (every branch left) the code after is unreachable and keeps a.
+func (a armedSet) join(outs []armedSet) armedSet {
+	if len(outs) == 0 {
+		return a
+	}
+	merged := outs[0]
+	for _, o := range outs[1:] {
+		for k, v := range merged {
+			if nv := v & o[k]; nv != 0 {
+				merged[k] = nv
+			} else {
+				delete(merged, k)
+			}
+		}
+	}
+	return merged
+}
+
 // dlWalker threads the armed set through one body in evaluation order.
 type dlWalker struct {
+	flowWalker[armedSet]
 	st     *dlState
 	node   *FuncNode
-	armed  map[string]dlKind
 	needs  []dlNeed
 	direct []dlNeed
 	sites  []dlCallSite
-}
-
-func (w *dlWalker) clone() map[string]dlKind {
-	out := make(map[string]dlKind, len(w.armed))
-	for k, v := range w.armed {
-		out[k] = v
-	}
-	return out
 }
 
 // exitArms renders the receiver/param-rooted part of the exit armed set
@@ -442,7 +422,7 @@ func (w *dlWalker) clone() map[string]dlKind {
 // deterministic across map iteration orders.
 func (w *dlWalker) exitArms() []dlArm {
 	var out []dlArm
-	for chain, kinds := range w.armed {
+	for chain, kinds := range w.state {
 		seg := chain
 		if i := strings.IndexByte(chain, '.'); i >= 0 {
 			seg = chain[:i]
@@ -473,155 +453,24 @@ func (w *dlWalker) exitArms() []dlArm {
 	return out
 }
 
-// mergeBranches intersects the non-nil branch outcomes into the armed
-// set ("armed on every path"); nil outcomes left the function.
-func (w *dlWalker) mergeBranches(outs ...map[string]dlKind) {
-	var live []map[string]dlKind
-	for _, o := range outs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	if len(live) == 0 {
-		return // all branches terminate; code after is unreachable
-	}
-	merged := live[0]
-	for _, o := range live[1:] {
-		for k, v := range merged {
-			if ov, ok := o[k]; !ok || ov&v != v {
-				if nv := v & o[k]; nv != 0 {
-					merged[k] = nv
-				} else {
-					delete(merged, k)
-				}
-			}
-		}
-	}
-	w.armed = merged
-}
-
-// runBranch walks stmts on a clone and returns the resulting armed set,
-// or nil when the branch always transfers control out.
-func (w *dlWalker) runBranch(stmts []ast.Stmt) map[string]dlKind {
-	saved := w.armed
-	w.armed = w.clone()
-	for _, s := range stmts {
-		w.walkStmt(s)
-	}
-	out := w.armed
-	w.armed = saved
-	if terminates(stmts) {
-		return nil
-	}
-	return out
-}
-
-func (w *dlWalker) walkStmt(s ast.Stmt) {
+// leafStmt evaluates only the arguments of go and defer calls: the
+// spawned body is its own root, and a deferred call runs at exit, arming
+// nothing for the body (its own I/O is walked when its literal or
+// declaration is).
+func (w *dlWalker) leafStmt(s ast.Stmt) bool {
+	var call *ast.CallExpr
 	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, stmt := range s.List {
-			w.walkStmt(stmt)
-		}
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-	case *ast.SendStmt:
-		w.walkExpr(s.Chan)
-		w.walkExpr(s.Value)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
-		}
 	case *ast.GoStmt:
-		// The spawned body is its own root; arguments evaluate here.
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
+		call = s.Call
 	case *ast.DeferStmt:
-		// Deferred calls run at exit: they arm nothing for ops in the
-		// body, and their own I/O is walked when the literal/decl is.
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
-	case *ast.IfStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Cond)
-		body := w.runBranch(s.Body.List)
-		alt := w.clone() // no else: fallthrough keeps the pre-state
-		if s.Else != nil {
-			alt = w.runBranch([]ast.Stmt{s.Else})
-		}
-		w.mergeBranches(body, alt)
-	case *ast.ForStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Cond)
-		// The body may run zero times: walk it on a clone for its own
-		// findings, then resume from the entry state.
-		stmts := make([]ast.Stmt, 0, len(s.Body.List)+1)
-		stmts = append(stmts, s.Body.List...)
-		if s.Post != nil {
-			stmts = append(stmts, s.Post)
-		}
-		w.runBranch(stmts)
-	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		w.runBranch(s.Body.List)
-	case *ast.SwitchStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Tag)
-		w.walkSwitchBody(s.Body, false)
-	case *ast.TypeSwitchStmt:
-		w.walkStmt(s.Init)
-		w.walkSwitchBody(s.Body, false)
-	case *ast.SelectStmt:
-		w.walkSwitchBody(s.Body, true)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
+		call = s.Call
+	default:
+		return false
 	}
-}
-
-// walkSwitchBody merges case clauses by intersection; a switch with no
-// default may skip every case, so the pre-state joins the merge.
-func (w *dlWalker) walkSwitchBody(body *ast.BlockStmt, isSelect bool) {
-	outs := []map[string]dlKind{}
-	hasDefault := false
-	for _, clause := range body.List {
-		switch cc := clause.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				hasDefault = true
-			}
-			for _, e := range cc.List {
-				w.walkExpr(e)
-			}
-			outs = append(outs, w.runBranch(cc.Body))
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				hasDefault = true
-			}
-			outs = append(outs, w.runBranch(cc.Body))
-		}
+	for _, arg := range call.Args {
+		w.walkExpr(arg)
 	}
-	if !hasDefault && !isSelect {
-		outs = append(outs, w.clone())
-	}
-	w.mergeBranches(outs...)
+	return true
 }
 
 func (w *dlWalker) walkExpr(e ast.Expr) {
@@ -682,7 +531,7 @@ func (w *dlWalker) handleCall(call *ast.CallExpr) {
 		if recvT != nil && isNetConnType(recvT) {
 			if kind := dlArmMethod(sel.Sel.Name); kind != 0 {
 				if chain := exprChain(sel.X); chain != "" {
-					w.armed[chain] |= kind
+					w.state[chain] |= kind
 				}
 				return
 			}
@@ -710,14 +559,14 @@ func (w *dlWalker) handleCall(call *ast.CallExpr) {
 		return
 	}
 	w.sites = append(w.sites, dlCallSite{
-		caller: w.node, call: call, callees: callees, armed: w.clone(),
+		caller: w.node, call: call, callees: callees, armed: w.state.clone(),
 	})
 	// Substitute callee arms into the caller's armed set.
 	for _, callee := range callees {
 		for _, arm := range w.st.arms[callee] {
 			cs := dlCallSite{caller: w.node, call: call}
 			if chain, ok := translateChain(cs, arm.root, arm.paramIdx, arm.rest); ok {
-				w.armed[chain.chain] |= arm.kind
+				w.state[chain.chain] |= arm.kind
 			}
 		}
 	}
@@ -743,7 +592,7 @@ func (w *dlWalker) sink(pos token.Pos, e ast.Expr, kind dlKind, op string) {
 	if chain == "" {
 		return // provenance unknown — the chain cannot be armed or matched
 	}
-	if w.armed[chain]&kind == kind {
+	if w.state[chain]&kind == kind {
 		return
 	}
 	if w.st.annot[w.node][chain] {

@@ -43,16 +43,13 @@ func runLockedBlock(pass *Pass) {
 				if info == nil {
 					continue
 				}
-				chain := callee.Name
-				if info.via != "" {
-					chain += " → " + info.via
-				}
-				if !strings.HasSuffix(chain, info.what) {
-					chain += " → " + info.what
+				chain := viaChain(callee.Name, info.via)
+				if !strings.HasSuffix(chain, info.at.what) {
+					chain += " → " + info.at.what
 				}
 				pass.Reportf(cs.pos,
 					"call to %s may block (%s at %s) while holding %s",
-					cs.name, chain, prog.shortPos(info.pos), heldKeys(cs.held))
+					cs.name, chain, prog.shortPos(info.at.pos), heldKeys(cs.held))
 				reported[int(cs.pos)] = true
 				break
 			}

@@ -54,15 +54,12 @@ func runLockOrder(pass *Pass) {
 			}
 			for _, callee := range cs.callees {
 				for k, info := range acq[callee] {
-					via := callee.Name
-					if info.via != "" {
-						via = callee.Name + " → " + info.via
-					}
+					via := viaChain(callee.Name, info.via)
 					for _, h := range cs.held {
 						addEdge(orderEdge{
 							from: h.key, to: k,
 							fromPos: h.pos, toPos: cs.pos,
-							via: via + fmt.Sprintf(" (locked at %s)", prog.shortPos(info.pos)),
+							via: via + fmt.Sprintf(" (locked at %s)", prog.shortPos(info.at)),
 						})
 					}
 				}

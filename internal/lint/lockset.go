@@ -72,20 +72,6 @@ type Summary struct {
 	calls    []callSite
 }
 
-// acquireInfo is a representative acquisition of a key inside a callee,
-// for interprocedural lock-order diagnostics.
-type acquireInfo struct {
-	pos token.Pos
-	via string
-}
-
-// blockInfo explains why a function may block.
-type blockInfo struct {
-	pos  token.Pos
-	what string
-	via  string
-}
-
 // lockKeyOf classifies the receiver of a Lock/Unlock call, returning ""
 // when the mutex has no stable identity (map elements, call results).
 func lockKeyOf(pkg *Package, owner *FuncNode, e ast.Expr) lockKey {
@@ -124,11 +110,38 @@ func heldKeys(held []heldLock) string {
 	return strings.Join(names, ", ")
 }
 
+// heldSet is the lockset path state: the mutexes held, in acquisition
+// order.
+type heldSet []heldLock
+
+func (h heldSet) clone() heldSet { return append(heldSet(nil), h...) }
+
+// join is "may hold": the entry set plus every lock a branch exit holds.
+func (h heldSet) join(outs []heldSet) heldSet {
+	for _, out := range outs {
+		for _, l := range out {
+			if !h.holds(l.key) {
+				h = append(h, l)
+			}
+		}
+	}
+	return h
+}
+
+func (h heldSet) holds(key lockKey) bool {
+	for _, l := range h {
+		if l.key == key {
+			return true
+		}
+	}
+	return false
+}
+
 // walker threads the lockset through one function body.
 type walker struct {
+	flowWalker[heldSet]
 	prog *Program
 	node *FuncNode
-	held []heldLock
 }
 
 // summarize walks one node's body, filling node.Sum. Function literals
@@ -138,80 +151,17 @@ type walker struct {
 func (p *Program) summarize(node *FuncNode) {
 	node.Sum = &Summary{acquires: make(map[lockKey]token.Pos)}
 	w := &walker{prog: p, node: node}
-	w.walkStmt(node.body())
+	// Select communications are not walked: the select-level block in
+	// enterStmt already covers them, and walking them too would
+	// double-report one blocked select.
+	w.flowWalker = flowWalker[heldSet]{leaf: w.leafStmt, expr: w.walkExpr, enter: w.enterStmt}
+	w.stmt(node.body())
 }
 
 func (w *walker) sum() *Summary { return w.node.Sum }
 
-func (w *walker) cloneHeld() []heldLock {
-	return append([]heldLock(nil), w.held...)
-}
-
-// mergeHeld unions branch outcomes back into the walker ("may hold").
-func (w *walker) mergeHeld(sets ...[]heldLock) {
-	for _, set := range sets {
-		for _, h := range set {
-			found := false
-			for _, have := range w.held {
-				if have.key == h.key {
-					found = true
-					break
-				}
-			}
-			if !found {
-				w.held = append(w.held, h)
-			}
-		}
-	}
-}
-
-// terminates reports whether a statement list always transfers control
-// out (return, branch, panic) as its last statement.
-func terminates(stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	switch s := stmts[len(stmts)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	}
-	return false
-}
-
-// runBranch walks stmts on a clone of the lockset and returns the
-// resulting set, or nil (excluded from the merge) when the branch always
-// leaves the function/loop.
-func (w *walker) runBranch(stmts []ast.Stmt) []heldLock {
-	saved := w.held
-	w.held = w.cloneHeld()
-	for _, s := range stmts {
-		w.walkStmt(s)
-	}
-	out := w.held
-	w.held = saved
-	if terminates(stmts) {
-		return nil
-	}
-	return out
-}
-
-func (w *walker) walkStmt(s ast.Stmt) {
+func (w *walker) leafStmt(s ast.Stmt) bool {
 	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, stmt := range s.List {
-			w.walkStmt(stmt)
-		}
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
 	case *ast.SendStmt:
 		w.walkExpr(s.Chan)
 		w.walkExpr(s.Value)
@@ -223,99 +173,30 @@ func (w *walker) walkStmt(s ast.Stmt) {
 		for _, e := range s.Lhs {
 			w.walkExpr(e)
 		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
 	case *ast.GoStmt:
 		w.walkCall(s.Call, true)
 	case *ast.DeferStmt:
 		// `defer mu.Unlock()` keeps the mutex held for the rest of the
 		// body; any other deferred call is treated as running here.
-		if sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok {
-			if name := sel.Sel.Name; name == "Unlock" || name == "RUnlock" {
-				if isMutexType(typeOf(w.node.Pkg, sel.X)) {
-					return
-				}
-			}
-		}
-		w.walkCall(s.Call, false)
-	case *ast.IfStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Cond)
-		body := w.runBranch(s.Body.List)
-		var alt []heldLock
-		if s.Else != nil {
-			alt = w.runBranch([]ast.Stmt{s.Else})
-		}
-		w.mergeHeld(body, alt)
-	case *ast.ForStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Cond)
-		stmts := make([]ast.Stmt, 0, len(s.Body.List)+1)
-		stmts = append(stmts, s.Body.List...)
-		if s.Post != nil {
-			stmts = append(stmts, s.Post)
-		}
-		w.mergeHeld(w.runBranch(stmts))
+		sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") &&
+			isMutexType(typeOf(w.node.Pkg, sel.X))
+	default:
+		return false
+	}
+	return true
+}
+
+func (w *walker) enterStmt(s ast.Stmt) {
+	switch s := s.(type) {
 	case *ast.RangeStmt:
-		w.walkExpr(s.X)
 		if isChanType(typeOf(w.node.Pkg, s.X)) {
 			w.block(s.For, "channel receive (range)")
 		}
-		w.mergeHeld(w.runBranch(s.Body.List))
-	case *ast.SwitchStmt:
-		w.walkStmt(s.Init)
-		w.walkExpr(s.Tag)
-		var outs [][]heldLock
-		for _, clause := range s.Body.List {
-			cc := clause.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.walkExpr(e)
-			}
-			outs = append(outs, w.runBranch(cc.Body))
-		}
-		w.mergeHeld(outs...)
-	case *ast.TypeSwitchStmt:
-		w.walkStmt(s.Init)
-		w.walkStmt(s.Assign)
-		var outs [][]heldLock
-		for _, clause := range s.Body.List {
-			outs = append(outs, w.runBranch(clause.(*ast.CaseClause).Body))
-		}
-		w.mergeHeld(outs...)
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, clause := range s.Body.List {
-			if clause.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
+		if selectDefault(s) == nil {
 			w.block(s.Select, "select with no default")
 		}
-		// Case bodies are walked; the communications themselves are not —
-		// the select-level block above already covers them, and walking
-		// them too would double-report one blocked select.
-		var outs [][]heldLock
-		for _, clause := range s.Body.List {
-			outs = append(outs, w.runBranch(clause.(*ast.CommClause).Body))
-		}
-		w.mergeHeld(outs...)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
 	}
 }
 
@@ -404,22 +285,22 @@ func (w *walker) walkCall(call *ast.CallExpr, spawned bool) {
 				if key == "" {
 					return
 				}
-				for _, h := range w.held {
+				for _, h := range w.state {
 					if h.key != key {
 						w.sum().edges = append(w.sum().edges, orderEdge{
 							from: h.key, to: key, fromPos: h.pos, toPos: call.Pos(),
 						})
 					}
 				}
-				w.held = append(w.held, heldLock{key: key, pos: call.Pos()})
+				w.state = append(w.state, heldLock{key: key, pos: call.Pos()})
 				if _, seen := w.sum().acquires[key]; !seen {
 					w.sum().acquires[key] = call.Pos()
 				}
 				return
 			case "Unlock", "RUnlock":
-				for i := len(w.held) - 1; i >= 0; i-- {
-					if w.held[i].key == key {
-						w.held = append(w.held[:i], w.held[i+1:]...)
+				for i := len(w.state) - 1; i >= 0; i-- {
+					if w.state[i].key == key {
+						w.state = append(w.state[:i], w.state[i+1:]...)
 						break
 					}
 				}
@@ -445,7 +326,7 @@ func (w *walker) walkCall(call *ast.CallExpr, spawned bool) {
 		node := w.registerLit(fl)
 		w.sum().calls = append(w.sum().calls, callSite{
 			pos: call.Pos(), name: node.Name,
-			callees: []*FuncNode{node}, held: w.cloneHeld(), spawned: spawned,
+			callees: []*FuncNode{node}, held: w.state.clone(), spawned: spawned,
 		})
 		return
 	}
@@ -457,7 +338,7 @@ func (w *walker) walkCall(call *ast.CallExpr, spawned bool) {
 	name := callDisplayName(fun, callees)
 	w.sum().calls = append(w.sum().calls, callSite{
 		pos: call.Pos(), name: name,
-		callees: callees, held: w.cloneHeld(), spawned: spawned,
+		callees: callees, held: w.state.clone(), spawned: spawned,
 	})
 }
 
@@ -476,7 +357,7 @@ func callDisplayName(fun ast.Expr, callees []*FuncNode) string {
 
 func (w *walker) block(pos token.Pos, what string) {
 	w.sum().blocks = append(w.sum().blocks, blockSite{
-		pos: pos, what: what, held: w.cloneHeld(),
+		pos: pos, what: what, held: w.state.clone(),
 	})
 }
 
@@ -549,87 +430,26 @@ func isNetConnType(t types.Type) bool {
 // mayAcquire computes, per function, the mutex classes a call to it may
 // transitively acquire on the caller's goroutine, with a representative
 // acquisition site and callee chain for diagnostics.
-func (p *Program) mayAcquire() map[*FuncNode]map[lockKey]acquireInfo {
-	if p.mayAcquireMemo != nil {
-		return p.mayAcquireMemo
+func (p *Program) mayAcquire() map[*FuncNode]map[lockKey]reached[token.Pos] {
+	if p.mayAcquireMemo == nil {
+		p.mayAcquireMemo = propagate(p, func(n *FuncNode) map[lockKey]token.Pos { return n.Sum.acquires })
 	}
-	acq := make(map[*FuncNode]map[lockKey]acquireInfo, len(p.nodes))
-	for _, n := range p.nodes {
-		m := make(map[lockKey]acquireInfo, len(n.Sum.acquires))
-		for k, pos := range n.Sum.acquires {
-			m[k] = acquireInfo{pos: pos}
-		}
-		acq[n] = m
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range p.nodes {
-			for _, cs := range n.Sum.calls {
-				if cs.spawned {
-					continue
-				}
-				for _, callee := range cs.callees {
-					for k, info := range acq[callee] {
-						if _, ok := acq[n][k]; ok {
-							continue
-						}
-						via := callee.Name
-						if info.via != "" {
-							via = callee.Name + " → " + info.via
-						}
-						acq[n][k] = acquireInfo{pos: info.pos, via: via}
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	p.mayAcquireMemo = acq
-	return acq
+	return p.mayAcquireMemo
 }
 
 // mayBlock computes, per function, whether calling it may block the
-// caller's goroutine, with the root cause chained for diagnostics.
-func (p *Program) mayBlock() map[*FuncNode]*blockInfo {
-	if p.mayBlockMemo != nil {
-		return p.mayBlockMemo
-	}
-	blocks := make(map[*FuncNode]*blockInfo, len(p.nodes))
-	for _, n := range p.nodes {
-		if len(n.Sum.blocks) > 0 {
-			b := n.Sum.blocks[0]
-			blocks[n] = &blockInfo{pos: b.pos, what: b.what}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range p.nodes {
-			if blocks[n] != nil {
-				continue
+// caller's goroutine: the first blocking operation it reaches, with the
+// callee chain for diagnostics.
+func (p *Program) mayBlock() map[*FuncNode]*reached[blockSite] {
+	if p.mayBlockMemo == nil {
+		p.mayBlockMemo = reaches(p, func(n *FuncNode) (blockSite, bool) {
+			if len(n.Sum.blocks) == 0 {
+				return blockSite{}, false
 			}
-			for _, cs := range n.Sum.calls {
-				if cs.spawned {
-					continue
-				}
-				for _, callee := range cs.callees {
-					if info := blocks[callee]; info != nil {
-						via := callee.Name
-						if info.via != "" {
-							via = callee.Name + " → " + info.via
-						}
-						blocks[n] = &blockInfo{pos: info.pos, what: info.what, via: via}
-						changed = true
-						break
-					}
-				}
-				if blocks[n] != nil {
-					break
-				}
-			}
-		}
+			return n.Sum.blocks[0], true
+		})
 	}
-	p.mayBlockMemo = blocks
-	return blocks
+	return p.mayBlockMemo
 }
 
 // shortPos renders a position as "file.go:line" for diagnostic messages

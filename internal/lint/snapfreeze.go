@@ -314,18 +314,16 @@ func (st *sfState) checkCompleteness() {
 // other fresh constructors) — their results are safe to mutate before
 // publication, the freezeAll pattern.
 func (st *sfState) computeFreshReturns() {
-	for changed := true; changed; {
-		changed = false
+	fixpoint(0, func() bool {
+		changed := false
 		for key, node := range st.prog.funcs {
-			if st.freshRet[key] {
-				continue
-			}
-			if st.returnsOnlyFresh(node) {
+			if !st.freshRet[key] && st.returnsOnlyFresh(node) {
 				st.freshRet[key] = true
 				changed = true
 			}
 		}
-	}
+		return changed
+	})
 }
 
 // returnsOnlyFresh reports whether every return statement in node's body
