@@ -48,7 +48,6 @@ var (
 	metricsAddr = flag.String("metrics", "", "HTTP address for Prometheus metrics (empty disables)")
 	mbits       = flag.Int("mbits", 16, "Bloom tag size in bits")
 	workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "report collector worker goroutines")
-	batch       = flag.Int("batch", 0, "max report datagrams a worker verifies per wakeup (0 = default)")
 	tableCache  = flag.String("table-cache", "", "path-table snapshot file: loaded on start (warm start), saved on graceful shutdown")
 	shutdownTO  = flag.Duration("shutdown-timeout", 5*time.Second, "grace period for draining on SIGINT/SIGTERM")
 )
@@ -133,11 +132,7 @@ func run(ctx context.Context, logger *log.Logger) error {
 
 	// Tag-report collector: each worker gets its own batch handler (and
 	// with it a private verdict cache).
-	copts := []report.Option{report.WithWorkers(*workers)}
-	if *batch > 0 {
-		copts = append(copts, report.WithBatch(*batch))
-	}
-	collector, err := report.NewCollector(*reportAddr, mon.BatchHandler, logger, copts...)
+	collector, err := report.NewCollector(*reportAddr, mon.BatchHandler, logger, report.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,8 @@
 // or any transitive callee:
 //
 //   - make, new, append
+//   - map writes (m[k] = v, m[k]++, m[k] += v): an insert may grow the
+//     map's buckets
 //   - slice and map composite literals; address-taken composite
 //     literals (&T{...} escapes); value struct literals are free
 //     (*r = Report{...} writes in place)
@@ -29,9 +31,7 @@
 // rule the lockset checker uses) is an error path, and error paths may
 // allocate (fmt.Errorf after a truncated-datagram check; the panic
 // message in a BDD bounds check). The contract covers the fall-through
-// happy path — exactly what AllocsPerRun measures. Map index writes are
-// also exempt by policy: the collector's per-source counters amortize
-// like any map, and the paper's hot loop tolerates amortized growth.
+// happy path — exactly what AllocsPerRun measures.
 //
 // Calls that resolve to nothing — stdlib functions loaded from export
 // data only (binary.BigEndian.Uint16), dynamic calls through function
@@ -222,6 +222,11 @@ func (s *afScan) visit(n ast.Node) bool {
 			s.record(n.Pos(), "string concatenation")
 		}
 		s.checkBoxingAssign(n)
+		for _, lhs := range n.Lhs {
+			s.checkMapWrite(lhs)
+		}
+	case *ast.IncDecStmt:
+		s.checkMapWrite(n.X)
 	case *ast.CallExpr:
 		s.call(n)
 	}
@@ -262,6 +267,19 @@ func (s *afScan) call(call *ast.CallExpr) {
 	}
 	if callees := s.st.prog.resolveCall(pkg, call); len(callees) > 0 {
 		s.sum.calls = append(s.sum.calls, afCall{call.Pos(), callees})
+	}
+}
+
+// checkMapWrite flags a store through a map index.
+func (s *afScan) checkMapWrite(lhs ast.Expr) {
+	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if t := typeOf(s.node.Pkg, ix.X); t != nil {
+		if _, isMap := t.Underlying().(*types.Map); isMap {
+			s.record(ix.Pos(), "map write (may grow the map)")
+		}
 	}
 }
 

@@ -85,3 +85,13 @@ func helperB(xs []int) int {
 	copy(ys, xs)
 	return len(ys)
 }
+
+// Map writes may grow the map: an insert, an increment and a compound
+// assignment are each flagged.
+//
+//lint:allocfree
+func inserts(m map[int]int, k, v int) {
+	m[k] = v  // want "map write"
+	m[k]++    // want "map write"
+	m[k] += v // want "map write"
+}

@@ -1,6 +1,7 @@
 // Known-good corpus for the allocfree checker: in-place decodes, cold
 // error branches that allocate, annotated callees, spread variadics,
-// pointer-shaped interface arguments, and amortized map writes.
+// pointer-shaped interface arguments, map reads, and a map write on a
+// cold branch.
 
 package allocfree
 
@@ -80,10 +81,21 @@ func pointerBox(sink func(any), it *item) {
 	sink(it)
 }
 
-// count performs the amortized map write the contract tolerates (the
-// collector's per-source counters).
+// lookup only reads a map; reads never grow one.
 //
 //lint:allocfree
-func count(counts map[byte]uint64, it *item) {
-	counts[it.a]++
+func lookup(counts map[byte]uint64, it *item) uint64 {
+	return counts[it.a]
+}
+
+// countMiss writes a map only on its cold branch, which the contract
+// exempts like any error path.
+//
+//lint:allocfree
+func countMiss(misses map[byte]uint64, it *item) bool {
+	if it.a == 0 {
+		misses[it.b]++
+		return false
+	}
+	return true
 }

@@ -11,9 +11,9 @@
 // anticipates. Each worker owns a dup'd handle onto the shared socket
 // (one file description, many descriptors): the kernel delivers each
 // datagram to exactly one reader, and the private descriptor is what lets
-// a worker follow its blocking read with non-blocking drains (WithBatch)
-// without contending on another worker's parked read. A worker wakes on
-// one datagram, drains up to batch-1 more that are already queued, and
+// a worker follow its blocking read with non-blocking drains without
+// contending on another worker's parked read. A worker wakes on one
+// datagram, drains up to defaultBatch-1 more that are already queued, and
 // hands the whole batch to its verifier in one call — amortizing the
 // snapshot pin, cache probes, and counter updates (see core.VerifyBatch).
 // The happy path allocates nothing per datagram: receive buffers come from
@@ -109,14 +109,13 @@ func (l *logLimiter) allow(now time.Time) bool {
 }
 
 // shard holds one worker's counters, so the datagram hot path touches no
-// state shared between workers. The pad keeps adjacent shards out of one
-// cache line (the counters are written on every wakeup).
+// state shared between workers. The pad sizes a shard to one 64-byte
+// cache line, keeping adjacent shards' counters apart (they are written on
+// every wakeup).
 type shard struct {
 	received  atomic.Uint64
 	malformed atomic.Uint64
-	mu        sync.Mutex
-	bySource  map[netip.AddrPort]uint64 // guarded by mu
-	_         [24]byte
+	_         [48]byte
 }
 
 // worker is one goroutine's private state: its dup'd socket handle, its
@@ -126,9 +125,8 @@ type shard struct {
 type worker struct {
 	conn  *net.UDPConn // dup'd descriptor onto the shared socket
 	shard *shard
-	batch []packet.Report  // decoded reports, reused every wakeup
-	froms []netip.AddrPort // per-report sender, parallel to batch
-	drain drainState       // platform non-blocking receive state
+	batch []packet.Report // decoded reports, reused every wakeup
+	drain drainState      // platform non-blocking receive state
 }
 
 // Collector receives, parses, and dispatches report datagrams with a pool
@@ -140,7 +138,6 @@ type Collector struct {
 
 	workers []worker // fixed after NewCollector
 	shards  []shard  // one per worker; fixed after NewCollector
-	batch   int
 
 	logLim     logLimiter
 	suppressed atomic.Uint64 // log lines dropped by the limiter
@@ -153,7 +150,6 @@ type Option func(*collectorOptions)
 
 type collectorOptions struct {
 	workers int
-	batch   int
 }
 
 // WithWorkers sets the number of read/decode/verify worker goroutines the
@@ -163,19 +159,13 @@ func WithWorkers(n int) Option {
 	return func(o *collectorOptions) { o.workers = n }
 }
 
-// defaultBatch is the per-wakeup datagram budget when WithBatch is not
-// given: large enough to amortize the per-wakeup costs under load, small
+// defaultBatch is the most datagrams a worker drains and verifies per
+// wakeup: large enough to amortize the per-wakeup costs under load, small
 // enough that one worker cannot hoard a burst another core could verify.
+// The first read blocks; the rest are non-blocking, so an idle collector
+// still verifies each report the moment it arrives — batching only kicks
+// in when datagrams are queued faster than workers wake.
 const defaultBatch = 32
-
-// WithBatch sets the maximum datagrams a worker drains and verifies per
-// wakeup (default 32). The first read blocks; the rest are non-blocking,
-// so an idle collector still verifies each report the moment it arrives —
-// batching only kicks in when datagrams are queued faster than workers
-// wake. Values below 1 are clamped to 1 (strict one-datagram-per-wakeup).
-func WithBatch(k int) Option {
-	return func(o *collectorOptions) { o.batch = k }
-}
 
 // NewCollector listens on addr (e.g. ":48879") and dispatches batches of
 // parsed reports to a handler. logger may be nil.
@@ -187,15 +177,12 @@ func WithBatch(k int) Option {
 // worker: it is valid only until the handler returns — copy any report to
 // retain it.
 func NewCollector(addr string, newHandler func() func([]packet.Report), logger *log.Logger, opts ...Option) (*Collector, error) {
-	o := collectorOptions{workers: runtime.GOMAXPROCS(0), batch: defaultBatch}
+	o := collectorOptions{workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.workers < 1 {
 		o.workers = 1
-	}
-	if o.batch < 1 {
-		o.batch = 1
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -211,14 +198,11 @@ func NewCollector(addr string, newHandler func() func([]packet.Report), logger *
 		logger:     logger,
 		workers:    make([]worker, o.workers),
 		shards:     make([]shard, o.workers),
-		batch:      o.batch,
 	}
 	for i := range c.workers {
 		w := &c.workers[i]
-		c.shards[i].bySource = make(map[netip.AddrPort]uint64)
 		w.shard = &c.shards[i]
-		w.batch = make([]packet.Report, o.batch)
-		w.froms = make([]netip.AddrPort, o.batch)
+		w.batch = make([]packet.Report, defaultBatch)
 		if i == 0 {
 			w.conn = conn
 		} else {
@@ -263,9 +247,6 @@ func (c *Collector) Addr() net.Addr { return c.conn.LocalAddr() }
 
 // Workers returns the size of the worker pool.
 func (c *Collector) Workers() int { return len(c.workers) }
-
-// Batch returns the per-wakeup datagram budget.
-func (c *Collector) Batch() int { return c.batch }
 
 // Run starts the worker pool and blocks until ctx is cancelled or Close
 // is called, draining every worker before returning; it always returns a
@@ -340,16 +321,15 @@ func (c *Collector) worker(ctx context.Context, w *worker) error {
 // queued ones non-blockingly until the batch is full or the queue is
 // empty, decoding each into the worker's reused batch slice. One receive
 // buffer serves the whole batch (each datagram is decoded before the next
-// receive overwrites it), and the counters and per-source map are updated
-// once per batch, not once per datagram. Returns the number of well-formed
-// reports in w.batch.
+// receive overwrites it), and the received counter is updated once per
+// batch, not once per datagram. Returns the number of well-formed reports
+// in w.batch.
 //
 //lint:allocfree
 func (c *Collector) fillBatch(w *worker, bp *[2048]byte, n int, from netip.AddrPort) int {
 	k := 0
 	for {
-		if c.decodeOne(w.shard, bp[:n], &w.batch[k]) {
-			w.froms[k] = from
+		if c.decodeOne(w.shard, bp[:n], from, &w.batch[k]) {
 			k++
 			if k == len(w.batch) {
 				break
@@ -362,26 +342,21 @@ func (c *Collector) fillBatch(w *worker, bp *[2048]byte, n int, from netip.AddrP
 		}
 	}
 	if k > 0 {
-		s := w.shard
-		s.received.Add(uint64(k))
-		s.mu.Lock()
-		for i := 0; i < k; i++ {
-			s.bySource[w.froms[i]]++
-		}
-		s.mu.Unlock()
+		w.shard.received.Add(uint64(k))
 	}
 	return k
 }
 
 // decodeOne decodes one datagram into the batch slot, counting and
 // rate-limited-logging the malformed ones — the cold branch the zero-alloc
-// contract exempts.
+// contract exempts. The log line names the sender, so a switch sending
+// garbage can be identified.
 //
 //lint:allocfree
-func (c *Collector) decodeOne(s *shard, b []byte, r *packet.Report) bool {
+func (c *Collector) decodeOne(s *shard, b []byte, from netip.AddrPort, r *packet.Report) bool {
 	if err := packet.UnmarshalReportInto(b, r); err != nil {
 		s.malformed.Add(1)
-		c.logf("report: malformed datagram from the wire: %v", err)
+		c.logf("report: malformed datagram from %v: %v", from, err)
 		return false
 	}
 	return true
@@ -422,22 +397,6 @@ func (c *Collector) Malformed() uint64 {
 		n += c.shards[i].malformed.Load()
 	}
 	return n
-}
-
-// SourceCounts returns a snapshot of well-formed report counts keyed by
-// sender address — the per-switch breakdown a deployment uses to spot a
-// switch whose reports stopped arriving.
-func (c *Collector) SourceCounts() map[string]uint64 {
-	out := make(map[string]uint64)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, v := range s.bySource {
-			out[k.String()] += v
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // Close stops Run by closing every worker's socket handle (they share one
