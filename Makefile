@@ -24,7 +24,7 @@ BENCH ?= .
 BENCHTIME ?= 200ms
 BENCHCOUNT ?= 6
 
-.PHONY: build test vet fmt lint race fuzz check bench storm storm-smoke
+.PHONY: build test vet fmt lint race fuzz check bench bench-check storm storm-smoke
 
 build:
 	$(GO) build ./...
@@ -77,5 +77,12 @@ storm-smoke:
 # the socket-level harness: `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) $(BENCH_PKGS) | tee BENCH.txt
+
+# The benchmark harness is a nested module (bench/go.mod) that the root
+# `go build ./...` cannot see: vet and test it on its own, including the
+# -quick fattree4 smoke, so an API change that breaks `bash bench/run.sh`
+# fails here instead of at benchmark time.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 check: vet fmt lint race
