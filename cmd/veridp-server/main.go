@@ -1,7 +1,10 @@
 // Command veridp-server is the standalone VeriDP verification server of
 // Figure 4: it splices the OpenFlow channel between switches and the
-// controller (rebuilding its path table from intercepted FlowMods) and
-// collects tag reports over UDP, printing a verdict for each.
+// controller (keeping its path table in step with intercepted FlowMods)
+// and verifies the tag reports it collects over UDP. Verified reports are
+// only counted (serve -metrics to read the counters); each violation is
+// logged to stderr with its blamed switch, through a token bucket so a
+// faulty data plane cannot flood the log.
 //
 //	veridp-server -topo figure5 -listen :6653 -controller 127.0.0.1:6654 -reports :48879
 //
@@ -34,6 +37,7 @@ import (
 	"veridp/internal/bloom"
 	"veridp/internal/core"
 	"veridp/internal/flowtable"
+	"veridp/internal/netutil"
 	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/report"
@@ -91,17 +95,15 @@ func run(ctx context.Context, logger *log.Logger) error {
 		return err
 	}
 
+	violations := netutil.NewLogLimiter(logger)
 	cfg := veridp.MonitorConfig{
 		Params: params,
 		OnViolation: func(v veridp.Violation) {
 			sw := "unlocalized"
 			if v.Localized {
-				sw = fmt.Sprintf("switch %s", net_.Switch(v.FaultySwitch).Name)
+				sw = "switch " + net_.Switch(v.FaultySwitch).Name
 			}
-			fmt.Printf("VIOLATION %-22s %v → %s\n", v.Reason, v.Report, sw)
-		},
-		OnVerified: func(r *veridp.Report) {
-			fmt.Printf("ok        %v\n", r)
+			violations.Printf("VIOLATION %-22s %v → %s", v.Reason, v.Report, sw)
 		},
 	}
 

@@ -1,7 +1,8 @@
 // Package netutil holds the shared lifetime-and-retry vocabulary for the
 // monitor's long-lived network loops: a capped exponential backoff that
-// waits under a context, and the temporary-error test that decides
-// whether an Accept/Dial failure is worth retrying at all. Every accept
+// waits under a context, the temporary-error test that decides whether an
+// Accept/Dial failure is worth retrying at all, and the token bucket that
+// keeps a flood of bad input from turning into a flood of log lines. Every accept
 // and reconnect loop in the repo goes through Backoff.Sleep, which is the
 // shape the retrybound checker certifies as a bound (context check plus
 // capped growth) — a loop that retries I/O without one of these is a
@@ -11,7 +12,11 @@ package netutil
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -90,4 +95,68 @@ func IsTemporary(err error) bool {
 		return ne.Timeout() || ne.Temporary()
 	}
 	return false
+}
+
+// Log flood control: at most logBurst lines at once, refilled at
+// logRefillPerSec.
+const (
+	logBurst        = 10
+	logRefillPerSec = 1
+)
+
+// LogLimiter is a token bucket in front of a logger. It bounds the log
+// volume a misbehaving or adversarial peer can cause (a switch flooding
+// garbage datagrams, a faulty data plane failing every report), and folds
+// what it drops into the next line it lets through as "(N similar lines
+// suppressed)". Callers keep their own counters: only log lines are
+// rate-limited. Safe for concurrent use.
+type LogLimiter struct {
+	logger *log.Logger // nil discards every line
+
+	mu     sync.Mutex
+	tokens float64   // guarded by mu
+	last   time.Time // guarded by mu
+
+	suppressed atomic.Uint64 // lines dropped since the last one printed
+}
+
+// NewLogLimiter rate-limits logger, which may be nil.
+func NewLogLimiter(logger *log.Logger) *LogLimiter {
+	return &LogLimiter{logger: logger}
+}
+
+// Printf logs through the bucket, or counts the line as suppressed when
+// the bucket is empty.
+func (l *LogLimiter) Printf(format string, args ...any) {
+	if l.logger == nil {
+		return
+	}
+	if !l.allow(time.Now()) {
+		l.suppressed.Add(1)
+		return
+	}
+	if n := l.suppressed.Swap(0); n > 0 {
+		format += fmt.Sprintf(" (%d similar lines suppressed)", n)
+	}
+	l.logger.Printf(format, args...)
+}
+
+// allow consumes a token if one is available.
+func (l *LogLimiter) allow(now time.Time) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.last.IsZero() {
+		l.tokens = logBurst
+	} else {
+		l.tokens += now.Sub(l.last).Seconds() * logRefillPerSec
+		if l.tokens > logBurst {
+			l.tokens = logBurst
+		}
+	}
+	l.last = now
+	if l.tokens < 1 {
+		return false
+	}
+	l.tokens--
+	return true
 }

@@ -1,9 +1,12 @@
 package netutil
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -92,4 +95,28 @@ func TestIsTemporary(t *testing.T) {
 			t.Errorf("IsTemporary(%s) = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestLogLimiterFoldsSuppressedLines: a burst past the bucket prints
+// logBurst lines, and the first line after the refill names how many were
+// dropped in between.
+func TestLogLimiterFoldsSuppressedLines(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewLogLimiter(log.New(&buf, "", 0))
+	for i := 0; i < logBurst+5; i++ {
+		l.Printf("line %d", i)
+	}
+	if got := strings.Count(buf.String(), "\n"); got != logBurst {
+		t.Fatalf("burst printed %d lines, want %d:\n%s", got, logBurst, buf.String())
+	}
+	l.mu.Lock()
+	l.last = l.last.Add(-2 * time.Second / logRefillPerSec) // two tokens' worth of quiet
+	l.mu.Unlock()
+	buf.Reset()
+	l.Printf("after")
+	if want := "after (5 similar lines suppressed)\n"; buf.String() != want {
+		t.Fatalf("line after refill = %q, want %q", buf.String(), want)
+	}
+
+	NewLogLimiter(nil).Printf("discarded") // a nil logger is a no-op
 }

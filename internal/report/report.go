@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"veridp/internal/netutil"
 	"veridp/internal/packet"
@@ -73,41 +72,6 @@ func (s *Sender) Close() error { return s.conn.Close() }
 // the 34-byte report plus any padded or trailing junk a switch might send.
 var bufPool = sync.Pool{New: func() any { return new([2048]byte) }}
 
-// Log flood control: at most logBurst messages at once, refilled at
-// logRefillPerSec. Counters are never rate-limited — only log lines are.
-const (
-	logBurst        = 10
-	logRefillPerSec = 1
-)
-
-// logLimiter is a token bucket bounding the collector's log volume when a
-// misbehaving or adversarial switch floods it with garbage datagrams.
-type logLimiter struct {
-	mu     sync.Mutex
-	tokens float64   // guarded by mu
-	last   time.Time // guarded by mu
-}
-
-// allow consumes a token if one is available.
-func (l *logLimiter) allow(now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.last.IsZero() {
-		l.tokens = logBurst
-	} else {
-		l.tokens += now.Sub(l.last).Seconds() * logRefillPerSec
-		if l.tokens > logBurst {
-			l.tokens = logBurst
-		}
-	}
-	l.last = now
-	if l.tokens < 1 {
-		return false
-	}
-	l.tokens--
-	return true
-}
-
 // shard holds one worker's counters, so the datagram hot path touches no
 // state shared between workers. The pad sizes a shard to one 64-byte
 // cache line, keeping adjacent shards' counters apart (they are written on
@@ -134,13 +98,10 @@ type worker struct {
 type Collector struct {
 	conn       *net.UDPConn // the bound socket (worker 0's handle)
 	newHandler func() func([]packet.Report)
-	logger     *log.Logger
+	logs       *netutil.LogLimiter
 
 	workers []worker // fixed after NewCollector
 	shards  []shard  // one per worker; fixed after NewCollector
-
-	logLim     logLimiter
-	suppressed atomic.Uint64 // log lines dropped by the limiter
 
 	closeOnce sync.Once
 }
@@ -195,7 +156,7 @@ func NewCollector(addr string, newHandler func() func([]packet.Report), logger *
 	c := &Collector{
 		conn:       conn,
 		newHandler: newHandler,
-		logger:     logger,
+		logs:       netutil.NewLogLimiter(logger),
 		workers:    make([]worker, o.workers),
 		shards:     make([]shard, o.workers),
 	}
@@ -302,7 +263,7 @@ func (c *Collector) worker(ctx context.Context, w *worker) error {
 			if errors.Is(err, net.ErrClosed) {
 				return err
 			}
-			c.logf("report: read: %v", err)
+			c.logs.Printf("report: read: %v", err)
 			if !bo.Sleep(ctx) {
 				return ctx.Err()
 			}
@@ -356,26 +317,10 @@ func (c *Collector) fillBatch(w *worker, bp *[2048]byte, n int, from netip.AddrP
 func (c *Collector) decodeOne(s *shard, b []byte, from netip.AddrPort, r *packet.Report) bool {
 	if err := packet.UnmarshalReportInto(b, r); err != nil {
 		s.malformed.Add(1)
-		c.logf("report: malformed datagram from %v: %v", from, err)
+		c.logs.Printf("report: malformed datagram from %v: %v", from, err)
 		return false
 	}
 	return true
-}
-
-// logf emits through the token bucket, reporting how many lines the
-// limiter swallowed since the last one that got through.
-func (c *Collector) logf(format string, args ...any) {
-	if c.logger == nil {
-		return
-	}
-	if !c.logLim.allow(time.Now()) {
-		c.suppressed.Add(1)
-		return
-	}
-	if n := c.suppressed.Swap(0); n > 0 {
-		format += fmt.Sprintf(" (%d similar lines suppressed)", n)
-	}
-	c.logger.Printf(format, args...)
 }
 
 // Received returns the count of well-formed reports processed, folded
