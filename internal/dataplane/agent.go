@@ -110,25 +110,7 @@ func (a *Agent) handle(c *openflow.Conn, m *openflow.Message) error {
 func (a *Agent) applyFlowMod(f *openflow.FlowMod) error {
 	a.Mu.Lock()
 	defer a.Mu.Unlock()
-	sw := a.Fabric.Switch(a.ID)
-	switch f.Command {
-	case openflow.FlowAdd:
-		r := f.Rule
-		r.ID = f.RuleID
-		_, err := sw.Config.Table.Add(&r)
-		return err
-	case openflow.FlowDelete:
-		return sw.Config.Table.Delete(f.RuleID)
-	case openflow.FlowModify:
-		return sw.Config.Table.Modify(f.RuleID, func(r *flowtable.Rule) {
-			r.Priority = f.Rule.Priority
-			r.Match = f.Rule.Match
-			r.Action = f.Rule.Action
-			r.OutPort = f.Rule.OutPort
-		})
-	default:
-		return fmt.Errorf("unknown FlowMod command %d", f.Command)
-	}
+	return openflow.ApplyFlowMod(a.Fabric.Switch(a.ID).Config.Table, f)
 }
 
 // packetOut decodes the carried frame and injects it at the named port.

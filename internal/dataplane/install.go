@@ -8,7 +8,6 @@ package dataplane
 import (
 	"fmt"
 
-	"veridp/internal/flowtable"
 	"veridp/internal/openflow"
 	"veridp/internal/topo"
 )
@@ -25,24 +24,7 @@ func (fi *FabricInstaller) Apply(f *openflow.FlowMod) error {
 	if sw == nil {
 		return fmt.Errorf("dataplane: no switch %d", f.Switch)
 	}
-	switch f.Command {
-	case openflow.FlowAdd:
-		r := f.Rule
-		r.ID = f.RuleID
-		_, err := sw.Config.Table.Add(&r)
-		return err
-	case openflow.FlowDelete:
-		return sw.Config.Table.Delete(f.RuleID)
-	case openflow.FlowModify:
-		return sw.Config.Table.Modify(f.RuleID, func(r *flowtable.Rule) {
-			r.Priority = f.Rule.Priority
-			r.Match = f.Rule.Match
-			r.Action = f.Rule.Action
-			r.OutPort = f.Rule.OutPort
-		})
-	default:
-		return fmt.Errorf("dataplane: unknown FlowMod command %d", f.Command)
-	}
+	return openflow.ApplyFlowMod(sw.Config.Table, f)
 }
 
 // Barrier is trivially satisfied: the in-process path is synchronous.

@@ -118,6 +118,32 @@ type FlowMod struct {
 	Rule    flowtable.Rule // Priority, Match, Action, OutPort (ID ignored)
 }
 
+// ApplyFlowMod executes one FlowMod on a flow table. It is the one
+// definition of add, modify and delete that switch agents, the in-process
+// installer and the verification server's logical tables share, so the
+// data plane and the monitor never read a FlowMod two ways. Modify
+// replaces the rule's priority, match and whole action set, its rewrite
+// included, as an OpenFlow modify replaces the action list.
+func ApplyFlowMod(t *flowtable.Table, f *FlowMod) error {
+	switch f.Command {
+	case FlowAdd:
+		r := f.Rule
+		r.ID = f.RuleID
+		_, err := t.Add(&r)
+		return err
+	case FlowDelete:
+		return t.Delete(f.RuleID)
+	case FlowModify:
+		return t.Modify(f.RuleID, func(r *flowtable.Rule) {
+			id := r.ID
+			*r = *f.Rule.Clone()
+			r.ID = id
+		})
+	default:
+		return fmt.Errorf("openflow: unknown FlowMod command %d", f.Command)
+	}
+}
+
 // flowModLen is the fixed body size of a FlowMod.
 const flowModLen = 1 + 2 + 8 + 2 + matchLen + 1 + 2 + rewriteLen
 
