@@ -44,8 +44,14 @@ fmt:
 lint:
 	$(GO) run ./cmd/veridp-lint -timing -baseline lint.baseline ./...
 
+# The publication paths every collector worker races against — snapshot
+# epochs, verdict caches, the FlowMod hook — run ten times over on top of
+# the one pass the whole suite gets.
+RACE_HOT = 'Handle|VerdictCache|ProxyHooks|FlowMod'
+
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run $(RACE_HOT) ./internal/core .
 
 # Short fuzzing pass over every Fuzz* target. `go test -fuzz` accepts a
 # regex that must match exactly one target, so enumerate with -list and

@@ -29,11 +29,31 @@ func (b *Builder) Build() *PathTable {
 	for sw, cfg := range b.Configs {
 		pt.transfer[sw] = cfg.TransferFuncs(b.Space)
 	}
-	for _, inport := range b.Net.EdgePorts() {
-		visited := map[topo.PortKey]bool{inport: true}
-		pt.traverse(inport, inport, b.Space.All(), nil, 0, visited)
-	}
+	pt.traverseAll()
 	return pt
+}
+
+// retraverse re-runs Algorithm 2 into a new table over pt's network,
+// configurations and header space. Only switch sw's transfer functions are
+// recomputed from its configuration: every other switch's rules are the
+// ones its cached functions were computed (or §4.4-patched) for. The new
+// table takes over pt's transfer cache, so pt must not be updated again.
+func (pt *PathTable) retraverse(sw topo.SwitchID) *PathTable {
+	n := newPathTable(pt.Net, pt.Space, pt.Params, pt.Configs)
+	for s, tf := range pt.transfer {
+		n.transfer[s] = tf
+	}
+	n.transfer[sw] = pt.Configs[sw].TransferFuncs(pt.Space)
+	n.traverseAll()
+	return n
+}
+
+// traverseAll runs Algorithm 2's search from every edge port.
+func (pt *PathTable) traverseAll() {
+	for _, inport := range pt.Net.EdgePorts() {
+		visited := map[topo.PortKey]bool{inport: true}
+		pt.traverse(inport, inport, pt.Space.All(), nil, 0, visited)
+	}
 }
 
 // traverse is Algorithm 2's recursive search, shared by initial

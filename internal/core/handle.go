@@ -38,6 +38,14 @@
 // sharded by exit port precisely so that they are few — see pairIndex),
 // and the atomicity a reader needs comes from the pointer swap alone: it
 // pinned either the index from before the update or the one after.
+//
+// The same marks drive verdict-cache invalidation. A Snapshot carries one
+// epoch per shard, and publication mints a fresh one only for the shards
+// written since the previous publication; the rest keep theirs, so cached
+// verdicts for reports exiting through untouched shards stay valid. A
+// table replaced wholesale (Swap returning a different table, or the
+// rebuild fallback of ApplyFlowMod) and a SetParams re-tag renew all of
+// them.
 
 package core
 
@@ -57,12 +65,12 @@ import (
 // lookup against it are lock-free and allocation-free, and all reads within
 // one Snapshot observe the same fully-applied update sequence.
 type Snapshot struct {
-	pairs  pairIndex     // frozen after publish; shard maps shared with older snapshots and the writer
-	view   bdd.View      // frozen after publish
-	space  *header.Space // frozen after publish
-	params bloom.Params  // frozen after publish
-	stats  Stats         // frozen after publish; the table's totals at publication
-	epoch  uint64        // frozen after publish; process-unique publication number
+	pairs  pairIndex          // frozen after publish; shard maps shared with older snapshots and the writer
+	view   bdd.View           // frozen after publish
+	space  *header.Space      // frozen after publish
+	params bloom.Params       // frozen after publish
+	stats  Stats              // frozen after publish; the table's totals at publication
+	epochs [pairShards]uint64 // frozen after publish; per pairs shard, the publication that last changed it
 }
 
 // snapEpoch numbers every snapshot publication in the process. It is
@@ -74,13 +82,16 @@ var snapEpoch atomic.Uint64
 
 func nextEpoch() uint64 { return snapEpoch.Add(1) }
 
-// Epoch returns the snapshot's publication number. Epochs increase
-// monotonically with every publication in the process and are never
-// reused, which is what lets a VerdictCache invalidate itself for free:
-// an entry stamped with any other epoch is dead on probe.
+// Epoch returns the epoch of the shard holding the pairs that exit through
+// out: the number of the publication that last changed that shard. Epochs
+// are never reused, and a shard keeps its epoch exactly as long as its
+// pairs stay the same, which is what lets a VerdictCache invalidate itself
+// for free: an entry stamped with any other epoch is dead on probe.
 //
 //lint:allocfree
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
+func (s *Snapshot) Epoch(out topo.PortKey) uint64 {
+	return s.epochs[tableKey{Out: out}.shard()]
+}
 
 // Lookup returns the paths for an ⟨inport, outport⟩ pair. The returned
 // entries are immutable: safe to read from any goroutine.
@@ -108,12 +119,16 @@ func (s *Snapshot) Verify(r *packet.Report) Verdict {
 
 // Handle publishes a PathTable for concurrent use: readers load the current
 // Snapshot atomically and never block, while the update methods
-// (ApplyDelta, SetParams, Compact, Swap) serialize on an internal mutex,
-// change the writer's table, and publish it as the next Snapshot.
+// (ApplyFlowMod, ApplyDelta, SetParams, Compact, Swap) serialize on an
+// internal mutex, change the writer's table, and publish it as the next
+// Snapshot.
 type Handle struct {
 	mu   sync.Mutex
 	work *PathTable // guarded by mu
-	cur  atomic.Pointer[Snapshot]
+	// prefix is ApplyFlowMod's §4.4 state for work, derived on first use;
+	// nil after any change it did not see (Swap, ApplyDelta).
+	prefix *prefixState // guarded by mu
+	cur    atomic.Pointer[Snapshot]
 }
 
 // NewHandle wraps pt and publishes its first snapshot. The Handle owns pt
@@ -121,19 +136,32 @@ type Handle struct {
 // Handle's update methods, or Inspect for serialized read access).
 func NewHandle(pt *PathTable) *Handle {
 	h := &Handle{work: pt}
-	h.publish()
+	h.publish(true)
 	return h
 }
 
 // publish makes the writer table's present state the current snapshot.
-// Clearing owned hands every shard map to the snapshot: the table's next
-// write to a shard clones it first.
+// The shards written since the last publication (owned) get a fresh
+// epoch, every shard does when renew is set, and the others keep the
+// epoch the previous snapshot gave them. Clearing owned then hands every
+// shard map to the snapshot: the table's next write to a shard clones it
+// first.
 //
 // lint:held mu (or, in NewHandle, h is not shared yet)
-func (h *Handle) publish() {
+func (h *Handle) publish(renew bool) {
 	pt := h.work
+	s := &Snapshot{pairs: pt.pairs, view: pt.Space.T.View(), space: pt.Space, params: pt.Params, stats: pt.Stats()}
+	e := nextEpoch()
+	prev := h.cur.Load()
+	for i := range s.epochs {
+		if renew || prev == nil || pt.owned[i] {
+			s.epochs[i] = e
+		} else {
+			s.epochs[i] = prev.epochs[i]
+		}
+	}
 	pt.owned = [pairShards]bool{}
-	h.cur.Store(&Snapshot{pairs: pt.pairs, view: pt.Space.T.View(), space: pt.Space, params: pt.Params, stats: pt.Stats(), epoch: nextEpoch()})
+	h.cur.Store(s)
 }
 
 // Current returns the latest published Snapshot. Callers that verify a
@@ -145,22 +173,28 @@ func (h *Handle) Current() *Snapshot { return h.cur.Load() }
 
 // ApplyDelta applies a §4.4 incremental update and publishes the result as
 // one atomic snapshot swap: concurrent verifications see either the table
-// before the rule change or after it, never in between.
+// before the rule change or after it, never in between. A rejected delta
+// changes nothing and publishes nothing. The delta is the caller's: the
+// Handle's own prefix trees no longer describe the table, and ApplyFlowMod
+// re-derives them from the logical configurations.
 func (h *Handle) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	err := h.work.ApplyDelta(sw, d)
-	h.publish()
-	return err
+	if err := h.work.ApplyDelta(sw, d); err != nil {
+		return err
+	}
+	h.prefix = nil
+	h.publish(false)
+	return nil
 }
 
 // SetParams re-derives every tag under a new Bloom configuration and
-// publishes the result.
+// publishes the result, renewing every shard's epoch.
 func (h *Handle) SetParams(p bloom.Params) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.work.SetParams(p)
-	h.publish()
+	h.publish(true)
 }
 
 // Compact garbage-collects the writer table's private indexes. Path entries
@@ -172,14 +206,16 @@ func (h *Handle) Compact() {
 }
 
 // Swap replaces the table wholesale: build receives the current table (for
-// its Configs/Space) and returns its successor — the full-rebuild path the
-// OpenFlow interception proxy uses. Returning the received table republishes
-// it unchanged.
+// its Configs/Space) and returns its successor, and every shard's epoch is
+// renewed. Returning the received table republishes it, renewing only the
+// epochs of shards build wrote.
 func (h *Handle) Swap(build func(old *PathTable) *PathTable) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.work = build(h.work)
-	h.publish()
+	old := h.work
+	h.work = build(old)
+	h.prefix = nil
+	h.publish(h.work != old)
 }
 
 // Inspect runs fn on the writer table under the update lock, without

@@ -150,8 +150,9 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 // against concurrent snapshot publications. Each reader pins a snapshot,
 // verifies through its own cache, and differentially checks the cached
 // verdict against the uncached one on the same pinned snapshot — while
-// the main goroutine churns ApplyDelta/Compact/Swap, bumping the epoch as
-// fast as it can. Under -race this also proves the epoch stamp's
+// the main goroutine churns ApplyDelta/Compact/SetParams, renewing the
+// flow's shard epoch (ApplyDelta) or every epoch (SetParams) as fast as
+// it can. Under -race this also proves the epoch stamp's
 // happens-before edge: a cache is single-writer, but the snapshots (and
 // epochs) it keys on are published across goroutines.
 func TestVerdictCacheConcurrentPublish(t *testing.T) {
@@ -190,7 +191,7 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 				snap.VerifyBatch(cache, in[:], out[:])
 				for i := range in {
 					if want := snap.Verify(&in[i]); out[i] != want {
-						t.Errorf("cached verdict %+v != uncached %+v under epoch %d", out[i], want, snap.Epoch())
+						t.Errorf("cached verdict %+v != uncached %+v under epoch %d", out[i], want, snap.Epoch(in[i].Outport))
 						return
 					}
 				}
@@ -218,7 +219,7 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Compact()
-		h.Swap(func(old *PathTable) *PathTable { return old })
+		h.SetParams(bloom.DefaultParams) // re-stores every entry, renews every epoch
 	}
 	close(stop)
 	wg.Wait()

@@ -288,8 +288,9 @@ func TestVerifyAllocationFree(t *testing.T) {
 
 // TestVerdictCacheCoherence is the in-package differential check: cached
 // verdicts must be identical (OK, Reason, Matched pointer) to uncached
-// ones, and a publication must kill every cached entry — the epoch
-// invariant that lets publication skip any cache flush.
+// ones, and a publication must kill exactly the cached entries of the
+// exit-port shards it changed — the per-shard epoch invariant that lets
+// publication skip any cache flush.
 func TestVerdictCacheCoherence(t *testing.T) {
 	d := newDiamondEnv(t)
 	h := NewHandle(d.pt)
@@ -301,24 +302,48 @@ func TestVerdictCacheCoherence(t *testing.T) {
 	bad.Tag ^= 0x2a
 	nopair := good
 	nopair.Outport.Port = 9
-
-	reports := []packet.Report{good, bad, nopair, good, bad}
-	out := make([]Verdict, len(reports))
-	for round := 0; round < 3; round++ { // round 1+ serves from cache
-		snap.VerifyBatch(cache, reports, out)
-		for i := range reports {
-			if want := snap.Verify(&reports[i]); out[i] != want {
-				t.Fatalf("round %d report %d: cached verdict %+v != uncached %+v", round, i, out[i], want)
-			}
+	// H1's traffic to an address nothing routes drops at S1: a pair no
+	// change to the 10.0.2.0/24 routes touches.
+	drop := packet.Report{Inport: d.pair[0], Outport: topo.PortKey{Switch: d.s1, Port: topo.DropPort}, Header: d.hdr}
+	drop.Header.DstIP = 0x0a630001
+	for _, e := range snap.Lookup(drop.Inport, drop.Outport) {
+		if d.pt.Space.Contains(e.Headers, drop.Header) {
+			drop.Tag = e.Tag
 		}
 	}
-	if cache.Hits() == 0 || cache.Misses() == 0 {
-		t.Fatalf("expected both hits and misses, got hits=%d misses=%d", cache.Hits(), cache.Misses())
+	if (tableKey{Out: drop.Outport}).shard() == (tableKey{Out: good.Outport}).shard() {
+		t.Fatal("the dropped and the delivered flow exit through one shard; the test needs two")
 	}
 
-	// Publish: the host /32 re-routes the flow, so the good report's tag
-	// goes stale. The old cache entries must be unreachable under the new
-	// snapshot's epoch — a stale hit would keep verifying the old tag.
+	// verify checks every cached verdict against the uncached one and
+	// returns how many came from the cache and how many were recomputed.
+	verify := func(step string, s *Snapshot, reports ...packet.Report) (hits, misses uint64) {
+		t.Helper()
+		h0, m0 := cache.Hits(), cache.Misses()
+		out := make([]Verdict, len(reports))
+		s.VerifyBatch(cache, reports, out)
+		for i := range reports {
+			if want := s.Verify(&reports[i]); out[i] != want {
+				t.Fatalf("%s, report %d: cached verdict %+v != uncached %+v", step, i, out[i], want)
+			}
+		}
+		return cache.Hits() - h0, cache.Misses() - m0
+	}
+
+	all := []packet.Report{good, bad, nopair, drop}
+	if _, misses := verify("first pass", snap, all...); misses != uint64(len(all)) {
+		t.Fatalf("first pass recomputed %d of %d", misses, len(all))
+	}
+	if hits, _ := verify("second pass", snap, all...); hits != uint64(len(all)) {
+		t.Fatalf("second pass served %d of %d from the cache", hits, len(all))
+	}
+	if v := snap.Verify(&drop); !v.OK {
+		t.Fatalf("dropped flow's report fails: %v", v.Reason)
+	}
+
+	// A delta: the host /32 re-routes the flow, so the good report's tag
+	// goes stale. Its shard gets a new epoch and its entry is recomputed;
+	// the drop pair's shard keeps its epoch, and its verdict stays cached.
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
 	_, delta, err := d.tree.Insert(host32, 4)
 	if err != nil {
@@ -328,21 +353,41 @@ func TestVerdictCacheCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := h.Current()
-	if snap2.Epoch() <= snap.Epoch() {
-		t.Fatalf("epoch did not advance: %d -> %d", snap.Epoch(), snap2.Epoch())
+	if out := good.Outport; snap2.Epoch(out) <= snap.Epoch(out) {
+		t.Fatalf("epoch of the flow's exit shard did not advance: %d -> %d", snap.Epoch(out), snap2.Epoch(out))
 	}
-	snap2.VerifyBatch(cache, reports, out)
-	for i := range reports {
-		if want := snap2.Verify(&reports[i]); out[i] != want {
-			t.Fatalf("post-publish report %d: cached verdict %+v != uncached %+v", i, out[i], want)
-		}
+	if out := drop.Outport; snap2.Epoch(out) != snap.Epoch(out) {
+		t.Fatalf("epoch of an untouched shard moved: %d -> %d", snap.Epoch(out), snap2.Epoch(out))
 	}
-	if v := out[0]; v.OK {
-		t.Fatal("old-route report still verifies after the delta — stale cache entry served")
+	if hits, misses := verify("after delta, untouched shard", snap2, drop); hits != 1 || misses != 0 {
+		t.Fatalf("report through an untouched shard: %d hits, %d misses; want a hit", hits, misses)
 	}
-	// The old snapshot keeps answering with its own epoch: entries stored
-	// under it are still valid there.
+	if hits, misses := verify("after delta, touched shard", snap2, good); hits != 0 || misses != 1 {
+		t.Fatalf("report through the touched shard: %d hits, %d misses; want a recompute", hits, misses)
+	}
+	if v := snap2.Verify(&good); v.OK {
+		t.Fatal("old-route report still verifies after the delta")
+	}
+	// The old snapshot keeps answering with its own epochs.
 	if v := snap.Verify(&good); !v.OK {
 		t.Fatalf("pinned old snapshot changed its verdict: %+v", v)
+	}
+
+	// Republishing the same table invalidates nothing; a re-tag and a
+	// table swapped in wholesale invalidate everything.
+	verify("refill", snap2, all...)
+	h.Swap(func(old *PathTable) *PathTable { return old })
+	if hits, _ := verify("after Swap(identity)", h.Current(), all...); hits != uint64(len(all)) {
+		t.Fatalf("Swap(identity) invalidated %d of %d cached verdicts", uint64(len(all))-hits, len(all))
+	}
+	h.SetParams(bloom.DefaultParams)
+	if _, misses := verify("after SetParams", h.Current(), all...); misses != uint64(len(all)) {
+		t.Fatalf("SetParams left %d of %d cached verdicts valid", uint64(len(all))-misses, len(all))
+	}
+	h.Swap(func(old *PathTable) *PathTable {
+		return (&Builder{Net: old.Net, Space: old.Space, Params: old.Params, Configs: old.Configs}).Build()
+	})
+	if _, misses := verify("after Swap to a new table", h.Current(), all...); misses != uint64(len(all)) {
+		t.Fatalf("Swap to a new table left %d of %d cached verdicts valid", uint64(len(all))-misses, len(all))
 	}
 }

@@ -66,12 +66,19 @@ const (
 // scatter over all of them and every update would clone the full index.
 type pairIndex [pairShards]map[tableKey][]*PathEntry
 
-// shard picks the pair's shard from its exit port: Fibonacci hashing, of
-// which the top pairShardBits are kept.
+// shard picks the pair's shard from its exit port.
 //
 //lint:allocfree
 func (k tableKey) shard() uint32 {
-	return (uint32(k.Out.Switch)<<16 | uint32(k.Out.Port)) * 0x9e3779b1 >> (32 - pairShardBits)
+	return exitShard(uint32(k.Out.Switch)<<16 | uint32(k.Out.Port))
+}
+
+// exitShard maps an exit port, packed as switch<<16 | port, to its shard:
+// Fibonacci hashing, of which the top pairShardBits are kept.
+//
+//lint:allocfree
+func exitShard(out uint32) uint32 {
+	return out * 0x9e3779b1 >> (32 - pairShardBits)
 }
 
 // get returns a pair's paths, nil when the pair has none.
@@ -85,6 +92,30 @@ func (p *pairIndex) each(fn func(k tableKey, es []*PathEntry)) {
 	for _, shard := range p {
 		for k, es := range shard {
 			fn(k, es)
+		}
+	}
+}
+
+// entries calls fn for every entry, pairs in ⟨inport, outport⟩ order.
+func (p *pairIndex) entries(fn func(in, out topo.PortKey, e *PathEntry)) {
+	var keys []tableKey
+	p.each(func(k tableKey, _ []*PathEntry) { keys = append(keys, k) })
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.In != b.In {
+			if a.In.Switch != b.In.Switch {
+				return a.In.Switch < b.In.Switch
+			}
+			return a.In.Port < b.In.Port
+		}
+		if a.Out.Switch != b.Out.Switch {
+			return a.Out.Switch < b.Out.Switch
+		}
+		return a.Out.Port < b.Out.Port
+	})
+	for _, k := range keys {
+		for _, e := range p.get(k) {
+			fn(k.In, k.Out, e)
 		}
 	}
 }
@@ -141,9 +172,12 @@ type PathTable struct {
 	hopIndex map[topo.PortKey][]tableKey
 
 	// arrivals and arrivalIndex support incremental re-traversal: arrivals
-	// by switch, and by hops of their prefixes for shrinking.
-	arrivals     map[topo.SwitchID][]*arrival
-	arrivalIndex map[topo.PortKey][]*arrival
+	// by switch, and by hops of their prefixes for shrinking. nArrivals
+	// counts the records, nDead those ApplyDelta emptied; Compact drops
+	// the dead ones.
+	arrivals         map[topo.SwitchID][]*arrival
+	arrivalIndex     map[topo.PortKey][]*arrival
+	nArrivals, nDead int
 
 	// transfer caches every switch's guarded transfer functions from build
 	// time; incremental updates patch the plain (nil-rewrite) guards
@@ -212,26 +246,7 @@ func (pt *PathTable) Lookup(in, out topo.PortKey) []*PathEntry {
 // Entries invokes fn for every entry, in pair order; fn must not mutate the
 // table.
 func (pt *PathTable) Entries(fn func(in, out topo.PortKey, e *PathEntry)) {
-	keys := make([]tableKey, 0, pt.nPairs)
-	pt.pairs.each(func(k tableKey, _ []*PathEntry) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.In != b.In {
-			if a.In.Switch != b.In.Switch {
-				return a.In.Switch < b.In.Switch
-			}
-			return a.In.Port < b.In.Port
-		}
-		if a.Out.Switch != b.Out.Switch {
-			return a.Out.Switch < b.Out.Switch
-		}
-		return a.Out.Port < b.Out.Port
-	})
-	for _, k := range keys {
-		for _, e := range pt.pairs.get(k) {
-			fn(k.In, k.Out, e)
-		}
-	}
+	pt.pairs.entries(fn)
 }
 
 // addPath inserts a path entry, merging header sets when the identical hop
@@ -265,6 +280,7 @@ func (pt *PathTable) indexHops(k tableKey, path topo.Path) {
 // addArrival records a traversal arrival for incremental updates.
 func (pt *PathTable) addArrival(sw topo.SwitchID, a *arrival) {
 	pt.arrivals[sw] = append(pt.arrivals[sw], a)
+	pt.nArrivals++
 	for _, hop := range a.Prefix {
 		pk := topo.PortKey{Switch: hop.Switch, Port: hop.Out}
 		pt.arrivalIndex[pk] = append(pt.arrivalIndex[pk], a)

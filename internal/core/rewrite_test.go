@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"veridp/internal/bdd"
@@ -183,5 +184,49 @@ func TestApplyDeltaRejectsRewritingPairs(t *testing.T) {
 	delta.To = 2
 	if err := pt.ApplyDelta(s3, delta); err == nil {
 		t.Fatal("incremental update on a rewriting pair accepted")
+	}
+}
+
+// TestRejectedDeltaChangesNothing: a delta that reaches a rewriting pair
+// is refused before any transfer guard is patched, and the Handle
+// publishes nothing — no half-applied table, no epoch bump. The delta
+// moves headers from ⊥, whose pairs are plain at every input port, onto
+// the NAT's output port, whose pairs carry only the rewrite: a per-port
+// patch loop would subtract from ⟨1,⊥⟩ before failing on ⟨1,3⟩.
+func TestRejectedDeltaChangesNothing(t *testing.T) {
+	_, pt, n, _, _ := natSetup(t)
+	s3 := n.SwitchByName("s3").ID
+	guards := func() map[flowtable.PortPair][]bdd.Ref {
+		out := make(map[flowtable.PortPair][]bdd.Ref)
+		for pp, es := range pt.transfer[s3] {
+			for _, e := range es {
+				out[pp] = append(out[pp], e.Guard)
+			}
+		}
+		return out
+	}
+	before := guards()
+	h := NewHandle(pt)
+	snap := h.Current()
+	epochs := snap.epochs
+
+	delta := flowtable.Delta{Set: pt.Space.DstIPPrefix(header.MustParseIP("198.51.100.0"), 24), From: topo.DropPort, To: 3}
+	if err := h.ApplyDelta(s3, delta); err == nil {
+		t.Fatal("delta onto a rewriting pair accepted")
+	}
+	if h.Current() != snap {
+		t.Fatal("a rejected delta published a snapshot")
+	}
+	if snap.epochs != epochs {
+		t.Fatal("a rejected delta changed the published epochs")
+	}
+	after := guards()
+	if len(after) != len(before) {
+		t.Fatalf("transfer pairs %d → %d", len(before), len(after))
+	}
+	for pp, gs := range before {
+		if fmt.Sprint(after[pp]) != fmt.Sprint(gs) {
+			t.Fatalf("pair %v guards %v → %v", pp, gs, after[pp])
+		}
 	}
 }

@@ -37,15 +37,21 @@ func (pt *PathTable) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 
 	// Patch the cached transfer functions for S (input-port independent
 	// under the §4.4 preconditions: pure destination-prefix rules — no
-	// ACLs, no input-port matches, no rewrites).
+	// ACLs, no input-port matches, no rewrites). Every pair is checked
+	// before any is patched, so a rejected delta leaves the table as it
+	// was.
 	tp := pt.transfer[sw]
 	for _, x := range s.Ports() {
-		if err := patchPlainGuard(pt, tp, flowtable.PortPair{In: x, Out: d.From}, d.Set, false); err != nil {
-			return err
+		for _, y := range [2]topo.PortID{d.From, d.To} {
+			pp := flowtable.PortPair{In: x, Out: y}
+			if es := tp[pp]; len(es) > 0 && plainEntry(es) == nil {
+				return fmt.Errorf("core: incremental update on a rewriting pair %v (unsupported; rebuild instead)", pp)
+			}
 		}
-		if err := patchPlainGuard(pt, tp, flowtable.PortPair{In: x, Out: d.To}, d.Set, true); err != nil {
-			return err
-		}
+	}
+	for _, x := range s.Ports() {
+		patchPlainGuard(pt, tp, flowtable.PortPair{In: x, Out: d.From}, d.Set, false)
+		patchPlainGuard(pt, tp, flowtable.PortPair{In: x, Out: d.To}, d.Set, true)
 	}
 
 	fromKey := topo.PortKey{Switch: sw, Port: d.From}
@@ -89,6 +95,7 @@ func (pt *PathTable) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 		a.Headers = pt.Space.T.Diff(a.Headers, d.Set)
 		if a.Headers == bdd.False {
 			a.deleted = true
+			pt.nDead++
 		}
 	}
 
@@ -111,28 +118,32 @@ func (pt *PathTable) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 	return nil
 }
 
-// patchPlainGuard adjusts the nil-rewrite entry of a transfer pair by the
-// delta (add=true ORs it in, add=false subtracts). Pairs carrying rewrite
-// entries violate the §4.4 preconditions and are rejected.
-func patchPlainGuard(pt *PathTable, tp map[flowtable.PortPair][]flowtable.TransferEntry, pp flowtable.PortPair, delta bdd.Ref, add bool) error {
-	es := tp[pp]
+// plainEntry returns the pair's nil-rewrite entry, nil when it has none.
+func plainEntry(es []flowtable.TransferEntry) *flowtable.TransferEntry {
 	for i := range es {
 		if es[i].Rewrite.IsZero() {
-			if add {
-				es[i].Guard = pt.Space.T.Or(es[i].Guard, delta)
-			} else {
-				es[i].Guard = pt.Space.T.Diff(es[i].Guard, delta)
-			}
-			return nil
+			return &es[i]
 		}
 	}
-	if len(es) > 0 {
-		return fmt.Errorf("core: incremental update on a rewriting pair %v (unsupported; rebuild instead)", pp)
+	return nil
+}
+
+// patchPlainGuard adjusts the nil-rewrite entry of a transfer pair by the
+// delta (add=true ORs it in, add=false subtracts). The caller has checked
+// that a pair with entries has a nil-rewrite one: pairs carrying only
+// rewrite entries violate the §4.4 preconditions.
+func patchPlainGuard(pt *PathTable, tp map[flowtable.PortPair][]flowtable.TransferEntry, pp flowtable.PortPair, delta bdd.Ref, add bool) {
+	if e := plainEntry(tp[pp]); e != nil {
+		if add {
+			e.Guard = pt.Space.T.Or(e.Guard, delta)
+		} else {
+			e.Guard = pt.Space.T.Diff(e.Guard, delta)
+		}
+		return
 	}
 	if add {
-		tp[pp] = append(es, flowtable.TransferEntry{Guard: delta})
+		tp[pp] = append(tp[pp], flowtable.TransferEntry{Guard: delta})
 	}
-	return nil
 }
 
 // visitedAlong reconstructs the loop-guard set for a recorded arrival: the
@@ -189,4 +200,6 @@ func (pt *PathTable) Compact() {
 		clear(as[len(live):])
 		pt.arrivals[sw] = live
 	}
+	pt.nArrivals -= pt.nDead
+	pt.nDead = 0
 }

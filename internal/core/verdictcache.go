@@ -3,16 +3,21 @@
 // flows dominate any Zipf-skewed workload — so the common case should be a
 // constant-time hash probe, not a BDD membership walk. The cache maps the
 // exact report bytes ⟨inport, outport, header, tag, mbits⟩ to the verdict the
-// snapshot produced for them, stamped with the snapshot's epoch.
+// snapshot produced for them, stamped with the epoch of the report's exit
+// shard.
 //
-// Invalidation is free: every publication mints a process-unique epoch
+// Invalidation is free: a Snapshot carries one epoch per exit-port shard of
+// its pair index, renewed by every publication that changes the shard
 // (handle.go), and a probe only accepts an entry whose stamp equals the
-// epoch of the snapshot being verified against. Publishing a new snapshot
-// therefore kills every cached entry at once — no flush, no writer
-// coordination, no shootdown. A stale epoch can never serve a stale verdict
-// because epochs are never reused (global counter), so an entry stamped e
-// can only ever be served to a verification pinned to the one snapshot that
-// carried e — and snapshots are immutable.
+// current epoch of its own exit shard. A report's verdict depends only on
+// its ⟨inport, outport⟩ pair's paths, which live in the shard its exit port
+// picks, so a publication kills exactly the cached entries whose pairs it
+// may have changed — no flush, no writer coordination, no shootdown. A
+// stale epoch can never serve a stale verdict because epochs are never
+// reused (global counter), so an entry stamped e can only ever be served
+// to a verification pinned to a snapshot whose shard still holds the very
+// shard map that was current when e was minted — and shard maps a
+// snapshot can reach are immutable.
 //
 // Concurrency: a VerdictCache is single-writer. Each collector worker (or
 // measurement loop) owns one outright, so slot reads and writes need no
@@ -78,6 +83,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// shard is the pairIndex shard of the key's exit port, which k0's low 32
+// bits hold packed exactly as tableKey.shard packs it.
+//
+//lint:allocfree
+func (k vcKey) shard() uint32 { return exitShard(uint32(k.k0)) }
+
 // hash folds the key words through the mixer.
 //
 //lint:allocfree
@@ -119,12 +130,14 @@ func NewVerdictCache(bits int) *VerdictCache {
 	return &VerdictCache{slots: make([]vcSlot, n), mask: uint64(n - 1)}
 }
 
-// probe looks the key up under the given epoch. Hitting an empty slot ends
-// the scan early: slots are never cleared, so a slot empty now was empty at
-// every earlier store, and no entry for this key can live beyond it.
+// probe looks the key up under its exit shard's epoch. Hitting an empty
+// slot ends the scan early: slots are never cleared, so a slot empty now
+// was empty at every earlier store, and no entry for this key can live
+// beyond it.
 //
 //lint:allocfree
-func (c *VerdictCache) probe(k vcKey, epoch uint64) (Verdict, bool) {
+func (c *VerdictCache) probe(k vcKey, epochs *[pairShards]uint64) (Verdict, bool) {
+	epoch := epochs[k.shard()]
 	h := k.hash()
 	for d := uint64(0); d < vcProbeWindow; d++ {
 		s := &c.slots[(h+d)&c.mask]
@@ -142,13 +155,15 @@ func (c *VerdictCache) probe(k vcKey, epoch uint64) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// store records the verdict computed for k under epoch. It fills the first
-// empty, stale, or same-key slot in the probe window, evicting the home
-// slot when the whole window holds live entries.
+// store records the verdict computed for k under its exit shard's epoch.
+// It fills the first empty, same-key or stale slot in the probe window —
+// a slot is stale when its stamp is not the current epoch of the slot's
+// own exit shard — evicting the home slot when the whole window holds
+// live entries.
 //
 //lint:allocfree
-func (c *VerdictCache) store(k vcKey, epoch uint64, v Verdict) {
-	meta := epoch<<8 | uint64(v.Reason)<<1
+func (c *VerdictCache) store(k vcKey, epochs *[pairShards]uint64, v Verdict) {
+	meta := epochs[k.shard()]<<8 | uint64(v.Reason)<<1
 	if v.OK {
 		meta |= 1
 	}
@@ -156,7 +171,7 @@ func (c *VerdictCache) store(k vcKey, epoch uint64, v Verdict) {
 	victim := &c.slots[h&c.mask]
 	for d := uint64(0); d < vcProbeWindow; d++ {
 		s := &c.slots[(h+d)&c.mask]
-		if s.meta == 0 || s.meta>>8 != epoch || s.key == k {
+		if s.meta == 0 || s.key == k || s.meta>>8 != epochs[s.key.shard()] {
 			victim = s
 			break
 		}
@@ -182,10 +197,10 @@ func (c *VerdictCache) Len() int { return len(c.slots) }
 // (the uncached arm benchmarks compare against).
 //
 // With a cache, each report costs one hash probe when its exact bytes were
-// verified before under this snapshot's epoch, and one full verify plus a
-// store otherwise. Cached verdicts are identical to uncached ones — same
-// OK, Reason, and Matched pointer — because the key covers every report
-// byte and entries from any other epoch are unreachable.
+// verified before under the current epoch of its exit shard, and one full
+// verify plus a store otherwise. Cached verdicts are identical to uncached
+// ones — same OK, Reason, and Matched pointer — because the key covers
+// every report byte and entries from any other epoch are unreachable.
 //
 //lint:allocfree
 func (s *Snapshot) VerifyBatch(c *VerdictCache, reports []packet.Report, out []Verdict) {
@@ -198,13 +213,13 @@ func (s *Snapshot) VerifyBatch(c *VerdictCache, reports []packet.Report, out []V
 	var hits, misses uint64
 	for i := range reports {
 		k := keyOf(&reports[i])
-		if v, ok := c.probe(k, s.epoch); ok {
+		if v, ok := c.probe(k, &s.epochs); ok {
 			out[i] = v
 			hits++
 			continue
 		}
 		v := s.Verify(&reports[i])
-		c.store(k, s.epoch, v)
+		c.store(k, &s.epochs, v)
 		out[i] = v
 		misses++
 	}

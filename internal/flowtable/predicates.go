@@ -35,6 +35,25 @@ func NewSwitchConfig(ports []topo.PortID) *SwitchConfig {
 	}
 }
 
+// Clone returns a deep copy: rule table and ACLs. The copy shares nothing
+// mutable with c, so a monitor can keep its own logical configuration in
+// step with a controller's by applying the same FlowMods.
+func (c *SwitchConfig) Clone() *SwitchConfig {
+	out := &SwitchConfig{
+		Ports:  append([]topo.PortID(nil), c.Ports...),
+		Table:  c.Table.Clone(),
+		InACL:  make(map[topo.PortID]ACL, len(c.InACL)),
+		OutACL: make(map[topo.PortID]ACL, len(c.OutACL)),
+	}
+	for p, acl := range c.InACL {
+		out.InACL[p] = append(ACL(nil), acl...)
+	}
+	for p, acl := range c.OutACL {
+		out.OutACL[p] = append(ACL(nil), acl...)
+	}
+	return out
+}
+
 // Classify runs the operational pipeline on one concrete packet: in-ACL,
 // prioritized table lookup, out-ACL. Every drop cause (ACL filter, no
 // match, explicit drop, nonexistent output port) maps to ⊥. The data-plane

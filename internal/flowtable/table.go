@@ -30,6 +30,17 @@ func NewTable() *Table {
 	return &Table{byID: make(map[uint64]*Rule), nextID: 1}
 }
 
+// Clone returns a deep copy of the table: the same rules, IDs and match
+// order.
+func (t *Table) Clone() *Table {
+	c := &Table{rules: make([]*Rule, len(t.rules)), byID: make(map[uint64]*Rule, len(t.rules)), nextID: t.nextID}
+	for i, r := range t.rules {
+		c.rules[i] = r.Clone()
+		c.byID[r.ID] = c.rules[i]
+	}
+	return c
+}
+
 // Len returns the number of installed rules.
 func (t *Table) Len() int { return len(t.rules) }
 

@@ -1,12 +1,14 @@
 // The campaign engine. One Run deploys a live environment — emulated
-// fabric with a fake clock, controller behind a faults.FaultyInstaller,
-// core.Handle snapshot publication, and a real UDP Sender → Collector
-// pipeline — then executes the campaign step by step: apply the step's
-// action, drive a probe phase, check the oracles, wait for the collector
-// to drain. Everything observable is deterministic: actions and probes
-// draw only from the step's private Pick RNG, the clock only advances
-// when the engine says so, and the async collector side feeds counters
-// (folded by the counter-fold oracle), never the verdict trace.
+// fabric with a fake clock, controller behind a tee that hands every
+// FlowMod to the monitor (as the interception proxy does) and on to a
+// faults.FaultyInstaller, core.Handle snapshot publication, and a real UDP
+// Sender → Collector pipeline — then executes the campaign step by step:
+// apply the step's action, drive a probe phase, check the oracles, wait
+// for the collector to drain. Everything observable is deterministic:
+// actions and probes draw only from the step's private Pick RNG, the clock
+// only advances when the engine says so, and the async collector side
+// feeds counters (folded by the counter-fold oracle), never the verdict
+// trace.
 
 package storm
 
@@ -22,10 +24,12 @@ import (
 	"time"
 
 	"veridp/internal/bloom"
+	"veridp/internal/controller"
 	"veridp/internal/core"
 	"veridp/internal/dataplane"
 	"veridp/internal/faults"
 	"veridp/internal/flowtable"
+	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/report"
 	"veridp/internal/sim"
@@ -96,6 +100,28 @@ func (s *relaySink) Sent() uint64 {
 	return s.sent
 }
 
+// teeInstaller is the deployment's interception proxy: every FlowMod the
+// controller sends reaches the current monitor through the proxy's entry
+// point, core.Handle.ApplyFlowMod, before it goes on to the data plane.
+// The monitor keeps its own copy of the logical configurations, exactly as
+// a server process does, and the incremental-equiv oracle checks that the
+// table it maintains this way never drifts from a from-scratch build.
+type teeInstaller struct {
+	e     *engine
+	inner controller.Installer
+}
+
+func (t *teeInstaller) Apply(f *openflow.FlowMod) error {
+	// As on the proxy's splice, a FlowMod the monitor rejects still goes
+	// to the switch; the resulting drift is the oracle's to report.
+	h := t.e.currentHandle()
+	_ = h.ApplyFlowMod(f.Switch, f)
+	t.e.recheckCache(h.Current())
+	return t.inner.Apply(f)
+}
+
+func (t *teeInstaller) Barrier(sw topo.SwitchID) error { return t.inner.Barrier(sw) }
+
 // engine is the mutable state of one campaign run.
 type engine struct {
 	c    *Campaign
@@ -137,12 +163,15 @@ type engine struct {
 	// single-report batch keeps VerifyBatch on the deterministic path.
 	// coSamples is the cache-coherence oracle's replay ring: cached
 	// verdicts pinned with the snapshot that produced them, re-checked
-	// against uncached Verify after every step.
+	// against uncached Verify after every step, and their reports re-run
+	// through probeCache after every FlowMod (staleCache keeps the first
+	// divergence until the step reports it).
 	probeCache *core.VerdictCache
 	cacheIn    [1]packet.Report
 	cacheOut   [1]core.Verdict
 	coSamples  [coSampleRing]cacheSample
 	coNext     int
+	staleCache string
 
 	res   *Result
 	trace bytes.Buffer
@@ -244,14 +273,25 @@ func (e *engine) setup(ctx context.Context) error {
 	}
 	e.env = env
 	e.faulty = &faults.FaultyInstaller{Inner: &dataplane.FabricInstaller{Fabric: env.Fabric}}
-	env.Ctrl.SetInstaller(e.faulty)
-	e.setHandle(core.NewHandle(env.Build()))
+	env.Ctrl.SetInstaller(&teeInstaller{e: e, inner: e.faulty})
+	e.setHandle(e.newHandle())
 	e.probeCache = core.NewVerdictCache(0)
 	e.mesh = traffic.PingMesh(env.Net)
 	if len(e.mesh) == 0 {
 		return fmt.Errorf("storm: topology %q has no probe pairs", e.c.Topo)
 	}
 	return e.startCollector(ctx)
+}
+
+// newHandle starts a monitor the way a server process starts: with its own
+// copy of the controller's logical configurations and a table built from
+// them. From then on the tee keeps both in step.
+func (e *engine) newHandle() *core.Handle {
+	configs := make(map[topo.SwitchID]*flowtable.SwitchConfig, len(e.env.Ctrl.Logical()))
+	for sw, cfg := range e.env.Ctrl.Logical() {
+		configs[sw] = cfg.Clone()
+	}
+	return core.NewHandle((&core.Builder{Net: e.env.Net, Space: e.env.Space, Params: e.env.Params, Configs: configs}).Build())
 }
 
 // currentHandle is the monitor the collector workers verify against; the
@@ -344,6 +384,9 @@ func (e *engine) step(ctx context.Context, i int, st Step) (*Failure, error) {
 	if f != nil || err != nil {
 		return f, err
 	}
+	if f := e.incrementalOracle(i); f != nil {
+		return f, nil
+	}
 	if f, err := e.probePhase(i, rng); f != nil || err != nil {
 		return f, err
 	}
@@ -353,6 +396,45 @@ func (e *engine) step(ctx context.Context, i int, st Step) (*Failure, error) {
 	return e.drain(i), nil
 }
 
+// incrementalOracle checks the table the monitor maintained FlowMod by
+// FlowMod — by §4.4 deltas or by re-running Algorithm 2 — against a
+// from-scratch build over the controller's logical state: the published
+// entries and totals must be the same. The reference is built in the
+// monitor's header space, where equal header sets are equal refs.
+func (e *engine) incrementalOracle(i int) *Failure {
+	h := e.currentHandle()
+	var err error
+	h.Inspect(func(pt *core.PathTable) {
+		ref := (&core.Builder{Net: pt.Net, Space: pt.Space, Params: pt.Params, Configs: e.env.Ctrl.Logical()}).Build()
+		err = h.Current().Diff(ref)
+	})
+	if err != nil {
+		return failf(i, OracleIncrementalEquiv, "published table differs from a from-scratch build: %v", err)
+	}
+	return nil
+}
+
+// recheckCache runs every sampled report through the probe cache against
+// a snapshot just published, and keeps the first verdict that differs
+// from an uncached Verify. Checked after each FlowMod rather than each
+// step, it sees every publication on its own: a shard a §4.4 delta
+// changed without renewing its epoch serves a stale verdict here even when
+// a later FlowMod of the same step renews every epoch.
+func (e *engine) recheckCache(snap *core.Snapshot) {
+	for idx := range e.coSamples {
+		s := &e.coSamples[idx]
+		if s.snap == nil || e.staleCache != "" {
+			continue
+		}
+		e.cacheIn[0] = s.rep
+		snap.VerifyBatch(e.probeCache, e.cacheIn[:], e.cacheOut[:])
+		if got, want := e.cacheOut[0], snap.Verify(&s.rep); got != want {
+			e.staleCache = fmt.Sprintf("after a FlowMod, report %v: cached verdict ok=%t reason=%v matched %v, uncached ok=%t reason=%v matched %v (epoch %d)",
+				&s.rep, got.OK, got.Reason, got.Matched, want.OK, want.Reason, want.Matched, snap.Epoch(s.rep.Outport))
+		}
+	}
+}
+
 // cacheCoherenceOracle replays the sample ring: every verdict the cache
 // ever served must be recomputable, identically, by the uncached Verify
 // against the exact snapshot that served it — no matter how many
@@ -360,6 +442,9 @@ func (e *engine) step(ctx context.Context, i int, st Step) (*Failure, error) {
 // Snapshots are immutable, so any divergence means the cache associated a
 // verdict with the wrong key or the wrong epoch.
 func (e *engine) cacheCoherenceOracle(i int) *Failure {
+	if e.staleCache != "" {
+		return failf(i, OracleCacheCoherent, "%s", e.staleCache)
+	}
 	for idx := range e.coSamples {
 		s := &e.coSamples[idx]
 		if s.snap == nil {
@@ -368,7 +453,7 @@ func (e *engine) cacheCoherenceOracle(i int) *Failure {
 		if got := s.snap.Verify(&s.rep); got != s.v {
 			return failf(i, OracleCacheCoherent,
 				"replayed report %v: cached verdict ok=%t reason=%v, uncached recompute ok=%t reason=%v (epoch %d)",
-				&s.rep, s.v.OK, s.v.Reason, got.OK, got.Reason, s.snap.Epoch())
+				&s.rep, s.v.OK, s.v.Reason, got.OK, got.Reason, s.snap.Epoch(s.rep.Outport))
 		}
 	}
 	return nil
@@ -400,10 +485,12 @@ func (e *engine) apply(ctx context.Context, i int, op Op, rng *rand.Rand) (*Fail
 	case OpSwap:
 		h := e.currentHandle()
 		return e.stressMaintenance(i, func() {
-			h.Swap(func(*core.PathTable) *core.PathTable { return e.env.Build() })
+			h.Swap(func(old *core.PathTable) *core.PathTable {
+				return (&core.Builder{Net: old.Net, Space: old.Space, Params: old.Params, Configs: old.Configs}).Build()
+			})
 		}), nil
 	case OpRestartMonitor:
-		e.setHandle(core.NewHandle(e.env.Build()))
+		e.setHandle(e.newHandle())
 		return nil, nil
 	case OpRestartCollector:
 		return e.restartCollector(ctx, i)
@@ -413,13 +500,6 @@ func (e *engine) apply(ctx context.Context, i int, op Op, rng *rand.Rand) (*Fail
 	default:
 		return nil, fmt.Errorf("storm: unknown op %d", uint8(op))
 	}
-}
-
-// rebuild republishes the table from the controller's live logical state.
-// Actions that change a probe-relevant logical config call it, mirroring
-// the interception proxy keeping the monitor in sync with FlowMods.
-func (e *engine) rebuild() {
-	e.currentHandle().Swap(func(*core.PathTable) *core.PathTable { return e.env.Build() })
 }
 
 // churnInstall routes one fresh synthetic /32 through the controller.
@@ -473,7 +553,7 @@ func (e *engine) churnDelete(rng *rand.Rand) error {
 }
 
 // reroute pins one host pair onto its second equal-cost path — the
-// control plane's reaction to a link flap — on both planes, then rebuilds.
+// control plane's reaction to a link flap — on both planes.
 func (e *engine) reroute(rng *rand.Rand) error {
 	if e.rerouteN >= 9000 {
 		return nil // priority headroom exhausted; keep the run deterministic
@@ -495,11 +575,8 @@ func (e *engine) reroute(rng *rand.Rand) error {
 		}
 		prio := uint16(20000 + e.rerouteN)
 		e.rerouteN++
-		if _, err := e.env.Ctrl.InstallPathRules(paths[1], m, prio); err != nil {
-			return err
-		}
-		e.rebuild()
-		return nil
+		_, err = e.env.Ctrl.InstallPathRules(paths[1], m, prio)
+		return err
 	}
 	return nil // no reroutable pair found: no-op
 }
@@ -620,7 +697,6 @@ func (e *engine) deviantInstall(rng *rand.Rand, degrade bool) error {
 		}
 		e.injected[hop.Switch] = true
 		e.faultEvents++
-		e.rebuild()
 		return nil
 	}
 	return nil

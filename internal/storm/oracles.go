@@ -1,10 +1,11 @@
 // The invariant oracles. After every campaign step the engine drives a
-// probe phase and checks six properties; violating any one halts the
+// probe phase and checks seven properties; violating any one halts the
 // campaign with a Failure the minimizer can shrink. Each oracle pins down
 // one subsystem (the DESIGN.md table spells the mapping out):
 //
 //	one-verdict        snapshot publication (core.Handle / core.Snapshot)
-//	cache-coherent     the verdict cache (core.VerdictCache epoch invalidation)
+//	cache-coherent     the verdict cache (core.VerdictCache per-shard epoch invalidation)
+//	incremental-equiv  live updates (core.Handle.ApplyFlowMod: §4.4 deltas, rebuild fallback)
 //	no-false-positive  path-table construction + Algorithm 3 verification
 //	localization       Algorithm 4 PathInfer / FaultySwitch
 //	counter-fold       report pipeline (Sender → Collector worker pool)
@@ -24,8 +25,13 @@ const (
 	// is identical (OK, Reason, and Matched entry) to what the uncached
 	// Snapshot.Verify computes — checked differentially on every probe
 	// report and by replaying a sample ring of cached verdicts after each
-	// step, across Swap/ApplyDelta epoch changes.
+	// step, across the epoch changes every publication makes.
 	OracleCacheCoherent = "cache-coherent"
+	// OracleIncrementalEquiv: the table the monitor maintains from the
+	// FlowMod stream — §4.4 deltas where the preconditions hold, its
+	// rebuild fallback elsewhere — publishes exactly the entries and
+	// totals of a from-scratch build over the controller's logical state.
+	OracleIncrementalEquiv = "incremental-equiv"
 	// OracleNoFalsePositive: a probe whose actual path equals its
 	// intended path never produces a failing report; on a fault-free
 	// prefix that is every probe.

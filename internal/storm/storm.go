@@ -2,8 +2,9 @@
 // seeded, deterministic campaigns of interleaved control- and data-plane
 // actions — rule churn, failover reroutes, the §2.2 fault matrix,
 // sampling-rate shifts, monitor/collector restarts, snapshot maintenance —
-// runs them against a live sim.Env + core.Handle deployment, and checks a
-// set of invariant oracles after every step (see oracles.go). "Consistent
+// runs them against a live sim.Env + core.Handle deployment whose monitor
+// follows the controller's FlowMods as the interception proxy's does, and
+// checks a set of invariant oracles after every step (see oracles.go). "Consistent
 // SDNs through Network State Fuzzing" (Shukla et al.) is the motivating
 // observation: randomized state fuzzing finds control/data-plane gaps that
 // curated scenarios miss.
@@ -26,13 +27,13 @@ type Op uint8
 
 const (
 	// OpChurnInstall routes a fresh synthetic /32 prefix network-wide
-	// through the controller (both planes; the path table goes stale by
-	// design — synthetic prefixes never collide with probe headers).
+	// through the controller (both planes and the monitor; synthetic
+	// prefixes never collide with probe headers).
 	OpChurnInstall Op = iota
 	// OpChurnDelete removes one previously churned route from both planes.
 	OpChurnDelete
 	// OpReroute emulates a link flap's control-plane reaction: pin one
-	// host pair onto its second equal-cost path and rebuild the table.
+	// host pair onto its second equal-cost path with in-port rules.
 	OpReroute
 	// OpWrongPort rewires a random physical rule to a wrong port (§2.2
 	// "switch software bugs").

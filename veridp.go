@@ -397,43 +397,22 @@ func (m *Monitor) Repair(r *Report, inst RuleInstaller) (SwitchID, error) {
 	return plan.Switch, nil
 }
 
-// ProxyHooks returns interception hooks that rebuild the path table when
-// FlowMods pass through the southbound proxy — the deployment of Figure 4,
-// where the VeriDP server sits on the OpenFlow channel. The rebuild
-// strategy is correct for arbitrary rules; deployments restricted to
-// destination-prefix rules can use the incremental §4.4 path via
-// core.PathTable.ApplyDelta instead.
+// ProxyHooks returns interception hooks that keep the path table in step
+// with the FlowMods passing through the southbound proxy — the deployment
+// of Figure 4, where the VeriDP server sits on the OpenFlow channel. Each
+// FlowMod goes to core.Handle.ApplyFlowMod: destination-prefix rules
+// update the table by §4.4 deltas, anything else re-runs Algorithm 2, and
+// the result is published as one snapshot. logical must be the configuration
+// map the monitor's table was built from (NewMonitor's argument, or a
+// loaded table's Configs): the hook edits it through the handle. A FlowMod
+// the logical table rejects (a delete of an unknown rule ID, say) changes
+// nothing and publishes nothing.
 func (m *Monitor) ProxyHooks(logical map[SwitchID]*flowtable.SwitchConfig) openflow.ProxyHooks {
-	rebuild := func(sw SwitchID, f *openflow.FlowMod) {
-		// Swap serializes the logical-config edit and the rebuild against
-		// all other table updates, then publishes the new table in one
-		// atomic snapshot; in-flight verifications finish against the old
-		// one.
-		m.handle.Swap(func(old *core.PathTable) *core.PathTable {
-			cfg, ok := logical[sw]
-			if !ok {
-				return old
-			}
-			switch f.Command {
-			case openflow.FlowAdd:
-				r := f.Rule
-				r.ID = f.RuleID
-				cfg.Table.Add(&r)
-			case openflow.FlowDelete:
-				cfg.Table.Delete(f.RuleID)
-			case openflow.FlowModify:
-				cfg.Table.Modify(f.RuleID, func(r *Rule) {
-					r.Priority = f.Rule.Priority
-					r.Match = f.Rule.Match
-					r.Action = f.Rule.Action
-					r.OutPort = f.Rule.OutPort
-				})
-			}
-			b := &core.Builder{Net: m.net, Space: header.NewSpace(), Params: m.cfg.Params, Configs: logical}
-			return b.Build()
-		})
-	}
-	return openflow.ProxyHooks{OnFlowMod: rebuild}
+	return openflow.ProxyHooks{OnFlowMod: func(sw SwitchID, f *openflow.FlowMod) {
+		// The error is the rejected edit's; the switch answers the same
+		// FlowMod with its own, which the proxy relays to the controller.
+		_ = m.handle.ApplyFlowMod(sw, f)
+	}}
 }
 
 // Emulation bundles an emulated data plane with a controller — the

@@ -1,10 +1,19 @@
 package veridp
 
 import (
+	"bytes"
+	"context"
+	"math/rand"
+	"net"
+	"reflect"
+	"sync"
 	"testing"
 
+	"veridp/internal/controller"
+	"veridp/internal/core"
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
+	"veridp/internal/header"
 	"veridp/internal/openflow"
 )
 
@@ -206,5 +215,338 @@ func TestProxyHooksRebuildOnFlowMod(t *testing.T) {
 	ok, _ := mon.Verify(res.Reports[0])
 	if ok {
 		t.Fatal("path table did not track the FlowMod through the proxy hooks")
+	}
+}
+
+// flowModLog is a controller.Installer that only records the FlowMods the
+// controller computes.
+type flowModLog struct{ mods []*openflow.FlowMod }
+
+func (l *flowModLog) Apply(f *openflow.FlowMod) error {
+	c := *f
+	l.mods = append(l.mods, &c)
+	return nil
+}
+
+func (l *flowModLog) Barrier(SwitchID) error { return nil }
+
+// emptyConfigs is a server's logical state at a cold start: every switch
+// known, no rule installed.
+func emptyConfigs(net *Network) map[SwitchID]*flowtable.SwitchConfig {
+	cfgs := make(map[SwitchID]*flowtable.SwitchConfig, net.NumSwitches())
+	for _, sw := range net.Switches() {
+		cfgs[sw.ID] = flowtable.NewSwitchConfig(sw.Ports())
+	}
+	return cfgs
+}
+
+// proxyRig feeds FlowMods to a monitor through its ProxyHooks, as the
+// interception proxy does, and keeps ref — the logical state the switches
+// are told to hold — beside it.
+type proxyRig struct {
+	t     *testing.T
+	net   *Network
+	mon   *Monitor
+	hooks openflow.ProxyHooks
+	ref   map[SwitchID]*flowtable.SwitchConfig
+	sent  int
+	// renewals counts the FlowMods after which every exit port's cache
+	// epoch was new: the signature of a table re-run or rebuilt, where a
+	// §4.4 delta renews only the shards of the pairs it moved. rebuilds
+	// counts those that replaced the header space.
+	renewals, rebuilds int
+}
+
+func newProxyRig(t *testing.T, net *Network) *proxyRig {
+	logical := emptyConfigs(net)
+	mon := NewMonitor(net, logical, MonitorConfig{})
+	return &proxyRig{t: t, net: net, mon: mon, hooks: mon.ProxyHooks(logical), ref: emptyConfigs(net)}
+}
+
+// send passes one FlowMod through the hook and checks that the published
+// table equals Algorithm 2 run from scratch over ref: the same entries
+// (header sets unioned per ⟨inport, outport, path, tag⟩) and Stats. It
+// reports whether the FlowMod renewed every exit port's epoch.
+func (r *proxyRig) send(f *openflow.FlowMod) (renewedAll bool) {
+	r.t.Helper()
+	if err := openflow.ApplyFlowMod(r.ref[f.Switch].Table, f); err != nil {
+		r.t.Fatalf("FlowMod %d (%v rule %d): reference edit: %v", r.sent, f.Command, f.RuleID, err)
+	}
+	h := r.mon.Handle()
+	before, space := h.Current(), r.mon.PathTable().Space
+	r.hooks.OnFlowMod(f.Switch, f)
+	r.sent++
+	after := h.Current()
+	if r.mon.PathTable().Space != space {
+		r.rebuilds++
+	}
+	h.Inspect(func(pt *core.PathTable) {
+		want := (&core.Builder{Net: r.net, Space: pt.Space, Params: pt.Params, Configs: r.ref}).Build()
+		if err := after.Diff(want); err != nil {
+			r.t.Fatalf("after FlowMod %d (%v rule %d at switch %d): %v", r.sent, f.Command, f.RuleID, f.Switch, err)
+		}
+	})
+	renewedAll = true
+	for _, sw := range r.net.Switches() {
+		if out := (PortKey{Switch: sw.ID, Port: DropPort}); after.Epoch(out) == before.Epoch(out) {
+			renewedAll = false
+		}
+	}
+	for _, host := range r.net.Hosts() {
+		if after.Epoch(host.Attach) == before.Epoch(host.Attach) {
+			renewedAll = false
+		}
+	}
+	if renewedAll {
+		r.renewals++
+	}
+	return renewedAll
+}
+
+// checkDeltas fails the test unless every FlowMod so far took the §4.4
+// path, apart from the rebuilds that bound the header space — and those
+// are a small share.
+func (r *proxyRig) checkDeltas() {
+	r.t.Helper()
+	if r.renewals != r.rebuilds || r.rebuilds*20 > r.sent {
+		r.t.Fatalf("of %d FlowMods, %d renewed every cache epoch and %d rebuilt the header space; want only the rebuilds, under 5%%",
+			r.sent, r.renewals, r.rebuilds)
+	}
+}
+
+// routeAll computes RoutePrefix FlowMods for every host of the fat tree.
+func routeAll(t *testing.T, net *Network) []*openflow.FlowMod {
+	t.Helper()
+	log := &flowModLog{}
+	ctrl := controller.New(net, log)
+	if err := ctrl.RouteAllHosts(); err != nil {
+		t.Fatal(err)
+	}
+	return log.mods
+}
+
+// churn sends random deletes, re-adds and modifies of the given prefix
+// rules. Modifies move a rule to another port (or to a drop) and keep its
+// prefix and priority, so it stays a §4.4 rule.
+func (r *proxyRig) churn(rules []*openflow.FlowMod, steps int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	installed := make([]bool, len(rules))
+	for i := range installed {
+		installed[i] = true
+	}
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(len(rules))
+		m := *rules[i]
+		switch {
+		case !installed[i]:
+			m.Command = openflow.FlowAdd
+			installed[i] = true
+		case rng.Intn(2) == 0:
+			m.Command = openflow.FlowDelete
+			installed[i] = false
+		default:
+			ports := r.net.Switch(m.Switch).Ports()
+			m.Command = openflow.FlowModify
+			if p := rng.Intn(len(ports) + 1); p == len(ports) {
+				m.Rule.Action = flowtable.ActDrop
+			} else {
+				m.Rule.OutPort = ports[p]
+			}
+			rules[i] = &openflow.FlowMod{Command: openflow.FlowAdd, Switch: m.Switch, RuleID: m.RuleID, Rule: m.Rule}
+		}
+		r.send(&m)
+	}
+}
+
+// TestProxyHooksIncrementalMatchesRebuild is the incremental twin of
+// TestProxyHooksRebuildOnFlowMod: fattree4 shortest-path routes arrive
+// through the proxy hook one FlowMod at a time from a cold start (empty
+// logical configurations, as veridp-server starts), then random deletes,
+// re-adds and modifies follow, and after every FlowMod the published table
+// must equal a from-scratch build. The hook takes the §4.4 path for every
+// one of them, apart from the few rebuilds that bound the header space.
+func TestProxyHooksIncrementalMatchesRebuild(t *testing.T) {
+	r := newProxyRig(t, FatTree(4))
+	mods := routeAll(t, r.net)
+	for _, f := range mods {
+		r.send(f)
+	}
+	r.churn(mods, 300, 1)
+	r.checkDeltas()
+}
+
+// TestProxyHooksIncrementalWarmStart: the same drive, half of it before a
+// Save/Load restart (the -table-cache warm start) and half after, on the
+// loaded table's own logical configurations.
+func TestProxyHooksIncrementalWarmStart(t *testing.T) {
+	r := newProxyRig(t, FatTree(4))
+	mods := routeAll(t, r.net)
+	half := len(mods) / 2
+	for _, f := range mods[:half] {
+		r.send(f)
+	}
+
+	var buf bytes.Buffer
+	if err := r.mon.PathTable().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.Load(&buf, r.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mon = NewMonitorFromTable(r.net, loaded, MonitorConfig{})
+	r.hooks = r.mon.ProxyHooks(loaded.Configs)
+	for _, f := range mods[half:] {
+		r.send(f)
+	}
+	r.churn(mods, 150, 2)
+	r.checkDeltas()
+}
+
+// TestProxyHooksFallbackAndRequalify: an in-port rule, then an L4 rule, on
+// one switch take it off the §4.4 path — every later FlowMod there re-runs
+// Algorithm 2 and renews every cache epoch — while the other switches keep
+// taking deltas; once both rules are deleted the switch qualifies again.
+func TestProxyHooksFallbackAndRequalify(t *testing.T) {
+	r := newProxyRig(t, FatTree(4))
+	mods := routeAll(t, r.net)
+	for _, f := range mods {
+		r.send(f)
+	}
+	edge := mods[0].Switch
+	var prefixRule, elsewhere *openflow.FlowMod
+	for _, f := range mods[1:] {
+		if f.Switch == edge && prefixRule == nil {
+			prefixRule = f
+		}
+		if f.Switch != edge && elsewhere == nil {
+			elsewhere = f
+		}
+	}
+	del := func(f *openflow.FlowMod) *openflow.FlowMod {
+		return &openflow.FlowMod{Command: openflow.FlowDelete, Switch: f.Switch, RuleID: f.RuleID}
+	}
+	if r.send(del(prefixRule)) {
+		t.Fatal("a prefix-rule delete on a qualifying switch renewed every epoch")
+	}
+
+	inPort := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1 << 40, Rule: Rule{
+		Priority: 100, Match: Match{InPort: 1, DstPrefix: Prefix{IP: MustParseIP("10.0.0.0"), Len: 8}}, Action: ActDrop,
+	}}
+	l4 := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1<<40 + 1, Rule: Rule{
+		Priority: 90, Match: Match{HasDst: true, DstPort: 22}, Action: ActDrop,
+	}}
+	for _, f := range []*openflow.FlowMod{inPort, l4, prefixRule} {
+		if !r.send(f) {
+			t.Fatalf("rule %v on a disqualified switch took the delta path", f.Rule.Match)
+		}
+	}
+	if r.send(del(elsewhere)) {
+		t.Fatal("a delete on another, qualifying switch renewed every epoch")
+	}
+	r.send(elsewhere)
+
+	// Deleting the two rules re-qualifies the switch.
+	r.send(del(inPort))
+	r.send(del(l4))
+	if r.send(del(prefixRule)) {
+		t.Fatal("the switch did not re-qualify once its in-port and L4 rules were gone")
+	}
+	r.send(prefixRule)
+	r.churn(mods, 100, 3)
+}
+
+// TestFlowModStreamAgentMatchesProxy replays one FlowMod stream into a
+// switch agent over the southbound channel and into a monitor's logical
+// table through its proxy hook: after every FlowMod the two tables hold
+// identical rules, rewrites included — one definition of add, modify and
+// delete serves both — and a FlowMod the table rejects publishes nothing.
+func TestFlowModStreamAgentMatchesProxy(t *testing.T) {
+	n := Linear(2, 1)
+	sw := n.SwitchByName("s1").ID
+	fabric := dataplane.NewFabric(n)
+	a, b := net.Pipe()
+	agent := &dataplane.Agent{Fabric: fabric, ID: sw, Mu: &sync.Mutex{}}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		agent.Run(ctx, a) // returns once ctx is cancelled
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	c := openflow.NewConn(b)
+	if _, err := c.RecvHello(); err != nil {
+		t.Fatal(err)
+	}
+
+	logical := emptyConfigs(n)
+	mon := NewMonitor(n, logical, MonitorConfig{})
+	hooks := mon.ProxyHooks(logical)
+
+	nat := &header.Rewrite{SetDstIP: true, DstIP: MustParseIP("10.0.0.9")}
+	rule := func(pri uint16, m Match, out PortID, rw *header.Rewrite) Rule {
+		return Rule{Priority: pri, Match: m, Action: ActOutput, OutPort: out, Rewrite: rw}
+	}
+	dst24 := Match{DstPrefix: Prefix{IP: MustParseIP("10.0.0.0"), Len: 24}}
+	host := Match{DstPrefix: Prefix{IP: MustParseIP("10.0.0.7"), Len: 32}}
+	for _, tc := range []struct {
+		name  string
+		f     openflow.FlowMod
+		fails bool
+		nat11 bool // rule 11 carries the rewrite afterwards
+	}{
+		{"add", openflow.FlowMod{Command: openflow.FlowAdd, RuleID: 11, Rule: rule(24, dst24, 2, nil)}, false, false},
+		{"add host", openflow.FlowMod{Command: openflow.FlowAdd, RuleID: 12, Rule: rule(32, host, 1, nil)}, false, false},
+		{"modify adds a rewrite", openflow.FlowMod{Command: openflow.FlowModify, RuleID: 11, Rule: rule(24, dst24, 1, nat)}, false, true},
+		{"delete", openflow.FlowMod{Command: openflow.FlowDelete, RuleID: 12}, false, true},
+		{"delete of an unknown rule", openflow.FlowMod{Command: openflow.FlowDelete, RuleID: 99}, true, true},
+		{"modify of an unknown rule", openflow.FlowMod{Command: openflow.FlowModify, RuleID: 77, Rule: rule(8, dst24, 1, nil)}, true, true},
+		{"duplicate add", openflow.FlowMod{Command: openflow.FlowAdd, RuleID: 11, Rule: rule(24, dst24, 2, nil)}, true, true},
+		{"modify drops it, moves priority and match", openflow.FlowMod{Command: openflow.FlowModify, RuleID: 11, Rule: rule(30, Match{InPort: 1, DstPrefix: dst24.DstPrefix}, 2, nil)}, false, false},
+	} {
+		f := tc.f
+		f.Switch = sw
+		before := mon.Handle().Current()
+		hooks.OnFlowMod(sw, &f)
+		if published := mon.Handle().Current() != before; published == tc.fails {
+			t.Fatalf("%s: published=%v for an edit that fails=%v", tc.name, published, tc.fails)
+		}
+		// The pipe is synchronous: a rejected FlowMod's Error reply must be
+		// read before the Barrier can be written.
+		if _, err := c.SendFlowMod(&f); err != nil {
+			t.Fatal(err)
+		}
+		if tc.fails {
+			if m, err := c.Recv(); err != nil || m.Type != openflow.TypeError {
+				t.Fatalf("%s: agent answered %v, %v; want an Error", tc.name, m, err)
+			}
+		}
+		xid, err := c.SendBarrierRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := c.Recv(); err != nil || m.Type != openflow.TypeBarrierReply || m.Xid != xid {
+			t.Fatalf("%s: agent answered %v, %v; want the BarrierReply", tc.name, m, err)
+		}
+		agent.Mu.Lock()
+		got := fabric.Switch(sw).Config.Table.Rules()
+		equal := reflect.DeepEqual(got, logical[sw].Table.Rules())
+		agent.Mu.Unlock()
+		if !equal {
+			t.Fatalf("%s: agent table %v, proxy's logical table %v", tc.name, got, logical[sw].Table.Rules())
+		}
+		var want *header.Rewrite
+		if tc.nat11 {
+			want = nat
+		}
+		if r := logical[sw].Table.Get(11); !reflect.DeepEqual(r.Rewrite, want) {
+			t.Fatalf("%s: rule 11 is %v, want rewrite %v", tc.name, r, want)
+		}
+	}
+	if r := logical[sw].Table.Get(11); r == nil || r.Rewrite != nil || r.Match.InPort != 1 {
+		t.Fatalf("rule 11 after the modifies: %v", r)
 	}
 }
