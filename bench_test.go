@@ -16,7 +16,6 @@
 package veridp
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -208,36 +207,6 @@ func BenchmarkVerifyZipf(b *testing.B) {
 		}
 	})
 	b.Run("uncached", func(b *testing.B) { run(b, nil) })
-}
-
-// BenchmarkColdVsWarmStart measures what the -table-cache flag buys at
-// Stanford scale: cold is a full path-table construction from the logical
-// rules; warm is deserializing the saved snapshot (core.Load), which
-// skips traversal, BDD recomputation, and tag folding.
-func BenchmarkColdVsWarmStart(b *testing.B) {
-	e := benchEnvs(b)["stanford"]
-	var blob bytes.Buffer
-	if err := e.Table().Save(&blob); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if e.Build() == nil {
-				b.Fatal("nil table")
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pt, err := core.Load(bytes.NewReader(blob.Bytes()), e.Net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if pt == nil {
-				b.Fatal("nil table")
-			}
-		}
-	})
 }
 
 // --- Figure 6: path lookup (per-pair list scan) ---------------------------

@@ -1,6 +1,7 @@
 // Command pathtable builds a path table for a chosen topology and dumps
-// its statistics and (optionally) its entries — the operator-facing view
-// of what the control plane believes about every edge-to-edge path.
+// its statistics, how long Algorithm 2 took, and (optionally) its entries
+// — the operator-facing view of what the control plane believes about
+// every edge-to-edge path.
 //
 //	pathtable -topo figure5 -dump
 //	pathtable -topo stanford
@@ -25,8 +26,6 @@ var (
 	file     = flag.String("file", "", "load topology+rules from a netfile JSON document instead of -topo")
 	dump     = flag.Bool("dump", false, "dump every path entry")
 	mbits    = flag.Int("mbits", 16, "Bloom tag size in bits")
-	saveTo   = flag.String("save", "", "write a path-table snapshot after building")
-	loadFrom = flag.String("load", "", "restore the path table from a snapshot instead of building")
 )
 
 func main() {
@@ -48,48 +47,15 @@ func run() error {
 	}
 
 	start := time.Now()
-	var pt *core.PathTable
-	if *loadFrom != "" {
-		in, err := os.Open(*loadFrom)
-		if err != nil {
-			return err
-		}
-		pt, err = core.Load(in, e.Net)
-		in.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		pt = e.Build()
-	}
+	pt := e.Build()
 	elapsed := time.Since(start)
-	if *saveTo != "" {
-		out, err := os.Create(*saveTo)
-		if err != nil {
-			return err
-		}
-		if err := pt.Save(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-		if fi, err := os.Stat(*saveTo); err == nil {
-			fmt.Printf("snapshot:   %s (%d bytes)\n", *saveTo, fi.Size())
-		}
-	}
 	st := pt.Stats()
 	fmt.Printf("topology:   %s (%d switches, %d links, %d hosts)\n",
 		e.Name, e.Net.NumSwitches(), e.Net.NumLinks(), len(e.Net.Hosts()))
 	fmt.Printf("entries:    %d port pairs\n", st.Pairs)
 	fmt.Printf("paths:      %d\n", st.Paths)
 	fmt.Printf("avg length: %.2f hops\n", st.AvgPathLength)
-	verb := "built in: "
-	if *loadFrom != "" {
-		verb = "restored in:"
-	}
-	fmt.Printf("%s %v\n", verb, elapsed)
+	fmt.Printf("built in:   %v\n", elapsed)
 
 	if !*dump {
 		return nil

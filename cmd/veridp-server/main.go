@@ -12,9 +12,11 @@
 // everything upstream unchanged. SIGINT/SIGTERM trigger a graceful
 // shutdown: the proxy stops accepting, spliced sessions and in-flight
 // report datagrams drain, and the process exits within -shutdown-timeout.
-// With -table-cache the built path table is saved on that graceful exit
-// and reloaded on the next start (warm start), falling back to a cold
-// rebuild if the file is missing or its topology/parameters mismatch.
+// With -table-cache the rules learned from intercepted FlowMods are saved
+// on that graceful exit, and the next start rebuilds its path table from
+// them (warm start): the controller does not re-send FlowMods when a switch
+// reconnects. A missing or damaged cache, or one saved on another
+// topology, is ignored and the server starts cold.
 // See examples/liveproxy for a complete in-process deployment wired over
 // real sockets.
 package main
@@ -35,7 +37,6 @@ import (
 
 	"veridp"
 	"veridp/internal/bloom"
-	"veridp/internal/core"
 	"veridp/internal/flowtable"
 	"veridp/internal/netutil"
 	"veridp/internal/openflow"
@@ -52,7 +53,7 @@ var (
 	metricsAddr = flag.String("metrics", "", "HTTP address for Prometheus metrics (empty disables)")
 	mbits       = flag.Int("mbits", 16, "Bloom tag size in bits")
 	workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "report collector worker goroutines")
-	tableCache  = flag.String("table-cache", "", "path-table snapshot file: loaded on start (warm start), saved on graceful shutdown")
+	tableCache  = flag.String("table-cache", "", "learned-rule cache: the table is rebuilt from it on start (warm start) and it is rewritten on graceful shutdown")
 	shutdownTO  = flag.Duration("shutdown-timeout", 5*time.Second, "grace period for draining on SIGINT/SIGTERM")
 )
 
@@ -107,30 +108,27 @@ func run(ctx context.Context, logger *log.Logger) error {
 		},
 	}
 
-	// Warm start: reload the path table a previous run saved, falling back
-	// to a cold (empty, fills from intercepted FlowMods) table when the
-	// cache is absent, stale, or built under different parameters.
-	var mon *veridp.Monitor
+	// Warm start: rebuild from the rules a previous run learned, or start
+	// cold (every switch known, no rule installed) when there are none.
 	var logical map[topo.SwitchID]*flowtable.SwitchConfig
 	if *tableCache != "" {
-		pt, err := loadTable(*tableCache, net_, params)
+		b, err := os.ReadFile(*tableCache)
+		if err == nil {
+			logical, err = veridp.LoadRules(b, net_)
+		}
 		if err != nil {
-			logger.Printf("table cache %s unusable (%v); building cold", *tableCache, err)
+			logger.Printf("table cache %s unusable (%v); starting cold", *tableCache, err)
 		} else {
-			// The loaded table carries the logical per-switch configs it
-			// was saved with; interception keeps editing those.
-			logical = pt.Configs
-			mon = veridp.NewMonitorFromTable(net_, pt, cfg)
-			logger.Printf("warm start: loaded path table from %s", *tableCache)
+			logger.Printf("warm start: %d rules from %s", countRules(logical), *tableCache)
 		}
 	}
-	if mon == nil {
+	if logical == nil {
 		logical = make(map[topo.SwitchID]*flowtable.SwitchConfig, net_.NumSwitches())
 		for _, sw := range net_.Switches() {
 			logical[sw.ID] = flowtable.NewSwitchConfig(sw.Ports())
 		}
-		mon = veridp.NewMonitor(net_, logical, cfg)
 	}
+	mon := veridp.NewMonitor(net_, logical, cfg)
 
 	// Tag-report collector: each worker gets its own batch handler (and
 	// with it a private verdict cache).
@@ -189,51 +187,47 @@ func run(ctx context.Context, logger *log.Logger) error {
 		logger.Printf("collector did not drain within %v", *shutdownTO)
 	}
 
-	// Graceful shutdown persists the table so the next start is warm.
+	// Graceful shutdown persists the learned rules so the next start is warm.
 	if *tableCache != "" && ctx.Err() != nil {
-		if serr := saveTable(*tableCache, mon); serr != nil {
+		if serr := saveCache(*tableCache, mon); serr != nil {
 			logger.Printf("table cache %s not saved: %v", *tableCache, serr)
 		} else {
-			logger.Printf("saved path table to %s", *tableCache)
+			logger.Printf("saved rules to %s", *tableCache)
 		}
 	}
 	return err
 }
 
-// loadTable deserializes a path-table snapshot and validates it against
-// this run's topology and tag parameters. Any mismatch is an error: the
-// caller falls back to a cold build rather than verifying against state
-// from a different deployment.
-func loadTable(path string, net_ *topo.Network, params bloom.Params) (*core.PathTable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// countRules totals the rules across every switch's configuration.
+func countRules(cfgs map[topo.SwitchID]*flowtable.SwitchConfig) int {
+	n := 0
+	for _, cfg := range cfgs {
+		n += cfg.Table.Len()
 	}
-	defer f.Close()
-	pt, err := core.Load(f, net_)
-	if err != nil {
-		return nil, err
-	}
-	if pt.Params != params {
-		return nil, fmt.Errorf("snapshot tag params %+v differ from -mbits %d", pt.Params, params.MBits)
-	}
-	return pt, nil
+	return n
 }
 
-// saveTable writes the monitor's table to a temp file and renames it into
-// place, so a crash mid-write can never leave a truncated cache behind.
-func saveTable(path string, mon *veridp.Monitor) error {
+// saveCache writes the monitor's rules to a temp file, syncs it, and
+// renames it into place, so a crash mid-write can never leave a truncated
+// cache behind.
+func saveCache(path string, mon *veridp.Monitor) error {
+	b, err := mon.SaveRules()
+	if err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := mon.PathTable().Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -1,0 +1,157 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"log"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"veridp"
+	"veridp/internal/controller"
+	"veridp/internal/dataplane"
+	"veridp/internal/flowtable"
+	"veridp/internal/topo"
+)
+
+// logSink is a log writer the test can read while the server writes it;
+// ready is closed once the server logs that its proxy is listening.
+type logSink struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer // guarded by mu
+	ready chan struct{}
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if bytes.Contains(p, []byte("proxying OpenFlow")) {
+		close(s.ready)
+	}
+	return s.buf.Write(p)
+}
+
+func (s *logSink) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.String()
+}
+
+// serve runs the server on loopback under the given -topo, -mbits and
+// -table-cache until its proxy is listening, then cancels it as SIGINT
+// would, and returns what it logged.
+func serve(t *testing.T, topoName string, mbits int, cache string) string {
+	t.Helper()
+	for name, v := range map[string]string{
+		"topo": topoName, "mbits": strconv.Itoa(mbits), "table-cache": cache,
+		"listen": "127.0.0.1:0", "reports": "127.0.0.1:0", "controller": "127.0.0.1:1",
+		"metrics": "", "workers": "1", "shutdown-timeout": "2s",
+	} {
+		if err := flag.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logs := &logSink{ready: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// chan: buffered 1 — run's result is handed off without rendezvous
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, log.New(logs, "", 0)) }()
+	select {
+	case <-logs.ready:
+	case err := <-done:
+		t.Fatalf("server exited before serving: %v\n%s", err, logs.String())
+	case <-time.After(10 * time.Second):
+		t.Fatalf("server not serving after 10s:\n%s", logs.String())
+	}
+	cancel()
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("run: %v\n%s", err, logs.String())
+	}
+	return logs.String()
+}
+
+// routed returns the logical rules of a controller that routed every host
+// of n.
+func routed(t *testing.T, n *topo.Network) map[topo.SwitchID]*flowtable.SwitchConfig {
+	t.Helper()
+	ctrl := controller.New(n, &dataplane.FabricInstaller{Fabric: dataplane.NewFabric(n)})
+	if err := ctrl.RouteAllHosts(); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl.Logical()
+}
+
+// writeCache saves the rule cache of a monitor over logical to path.
+func writeCache(t *testing.T, path string, n *topo.Network, logical map[topo.SwitchID]*flowtable.SwitchConfig) {
+	t.Helper()
+	b, err := veridp.NewMonitor(n, logical, veridp.MonitorConfig{}).SaveRules()
+	if err == nil {
+		err = os.WriteFile(path, b, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readCache decodes the rule cache at path for n.
+func readCache(t *testing.T, path string, n *topo.Network) map[topo.SwitchID]*flowtable.SwitchConfig {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := veridp.LoadRules(b, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfgs
+}
+
+// TestTableCacheWarmStart drives -table-cache through run: a cache written
+// for the server's topology warm-starts it, and the cache the server
+// rewrites on shutdown decodes to the same rules; a cache from another
+// topology falls back to a cold start; and a cache saved under -mbits 16
+// warm-starts a server under -mbits 32, since tags are rebuilt, not cached.
+func TestTableCacheWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	fig5 := filepath.Join(dir, "figure5.cache")
+	want := routed(t, topo.Figure5())
+	writeCache(t, fig5, topo.Figure5(), want)
+	rules := 0
+	for _, cfg := range want {
+		rules += cfg.Table.Len()
+	}
+	warm := "warm start: " + strconv.Itoa(rules) + " rules"
+
+	logs := serve(t, "figure5", 16, fig5)
+	if !strings.Contains(logs, warm) || !strings.Contains(logs, "saved rules to") {
+		t.Fatalf("figure5 cache on -topo figure5: want %q and a save, got:\n%s", warm, logs)
+	}
+	got := readCache(t, fig5, topo.Figure5())
+	for id, cfg := range want {
+		if !reflect.DeepEqual(got[id].Table.Rules(), cfg.Table.Rules()) {
+			t.Fatalf("rewritten cache: switch %d's rules differ", id)
+		}
+	}
+
+	ft4 := filepath.Join(dir, "fattree4.cache")
+	writeCache(t, ft4, topo.FatTree(4), routed(t, topo.FatTree(4)))
+	logs = serve(t, "figure5", 16, ft4)
+	if strings.Contains(logs, "warm start") || !strings.Contains(logs, "saved on another topology); starting cold") {
+		t.Fatalf("fattree4 cache on -topo figure5: want a cold start, got:\n%s", logs)
+	}
+
+	logs = serve(t, "figure5", 32, fig5)
+	if !strings.Contains(logs, warm) {
+		t.Fatalf("-mbits 16 cache under -mbits 32: want %q, got:\n%s", warm, logs)
+	}
+}

@@ -93,12 +93,8 @@ func (ps *prefixState) rederive(pt *PathTable, sw topo.SwitchID) {
 // newSwitchTree mirrors cfg's rules into a prefix tree, or returns nil when
 // the switch fails the §4.4 preconditions.
 func newSwitchTree(space *header.Space, cfg *flowtable.SwitchConfig) *switchTree {
-	for _, acls := range [2]map[topo.PortID]flowtable.ACL{cfg.InACL, cfg.OutACL} {
-		for _, acl := range acls {
-			if len(acl) > 0 {
-				return nil
-			}
-		}
+	if cfg.HasACLs() {
+		return nil
 	}
 	t := &switchTree{tree: flowtable.NewPrefixTree(space, cfg.Ports), nodes: make(map[uint64]uint64, cfg.Table.Len())}
 	for _, r := range cfg.Table.Rules() {

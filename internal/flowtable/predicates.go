@@ -54,6 +54,19 @@ func (c *SwitchConfig) Clone() *SwitchConfig {
 	return out
 }
 
+// HasACLs reports whether any port of the switch filters traffic with an
+// ACL (an empty list permits everything, like an absent one).
+func (c *SwitchConfig) HasACLs() bool {
+	for _, acls := range [2]map[topo.PortID]ACL{c.InACL, c.OutACL} {
+		for _, acl := range acls {
+			if len(acl) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Classify runs the operational pipeline on one concrete packet: in-ACL,
 // prioritized table lookup, out-ACL. Every drop cause (ACL filter, no
 // match, explicit drop, nonexistent output port) maps to ⊥. The data-plane

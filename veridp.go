@@ -184,7 +184,9 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor over the network and the control plane's
-// logical per-switch configurations (as maintained by Controller.Logical).
+// logical per-switch configurations (as maintained by Controller.Logical,
+// or as LoadRules restores them), running Algorithm 2 over them.
+// ProxyHooks edits logical in place.
 func NewMonitor(net *Network, logical map[SwitchID]*flowtable.SwitchConfig, cfg MonitorConfig) *Monitor {
 	if cfg.Params == (TagParams{}) {
 		cfg.Params = DefaultTagParams
@@ -195,20 +197,9 @@ func NewMonitor(net *Network, logical map[SwitchID]*flowtable.SwitchConfig, cfg 
 		Params:  cfg.Params,
 		Configs: logical,
 	}
-	return NewMonitorFromTable(net, b.Build(), cfg)
-}
-
-// NewMonitorFromTable builds a monitor around an already-constructed path
-// table — the warm-start entry point: veridp-server deserializes a table
-// saved by a previous run (core.PathTable.Load) and mounts a monitor on it
-// without paying reconstruction. The monitor owns pt from here on.
-func NewMonitorFromTable(net *Network, pt *core.PathTable, cfg MonitorConfig) *Monitor {
-	if cfg.Params == (TagParams{}) {
-		cfg.Params = DefaultTagParams
-	}
 	return &Monitor{
 		cfg:     cfg,
-		handle:  core.NewHandle(pt),
+		handle:  core.NewHandle(b.Build()),
 		net:     net,
 		reasons: make(map[string]uint64),
 		blames:  make(map[SwitchID]uint64),
@@ -400,13 +391,13 @@ func (m *Monitor) Repair(r *Report, inst RuleInstaller) (SwitchID, error) {
 // ProxyHooks returns interception hooks that keep the path table in step
 // with the FlowMods passing through the southbound proxy — the deployment
 // of Figure 4, where the VeriDP server sits on the OpenFlow channel. Each
-// FlowMod goes to core.Handle.ApplyFlowMod: destination-prefix rules
-// update the table by §4.4 deltas, anything else re-runs Algorithm 2, and
-// the result is published as one snapshot. logical must be the configuration
-// map the monitor's table was built from (NewMonitor's argument, or a
-// loaded table's Configs): the hook edits it through the handle. A FlowMod
-// the logical table rejects (a delete of an unknown rule ID, say) changes
-// nothing and publishes nothing.
+// FlowMod goes to core.Handle.ApplyFlowMod, which edits the monitor's own
+// logical configurations (the map NewMonitor was given): destination-prefix
+// rules update the table by §4.4 deltas, anything else re-runs Algorithm 2,
+// and the result is published as one snapshot. A FlowMod the logical table
+// rejects (a delete of an unknown rule ID, say) changes nothing and
+// publishes nothing. The logical argument is ignored; it stays for existing
+// callers such as bench/mirror.go.
 func (m *Monitor) ProxyHooks(logical map[SwitchID]*flowtable.SwitchConfig) openflow.ProxyHooks {
 	return openflow.ProxyHooks{OnFlowMod: func(sw SwitchID, f *openflow.FlowMod) {
 		// The error is the rejected edit's; the switch answers the same

@@ -1,7 +1,6 @@
 package veridp
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"net"
@@ -376,8 +375,10 @@ func TestProxyHooksIncrementalMatchesRebuild(t *testing.T) {
 }
 
 // TestProxyHooksIncrementalWarmStart: the same drive, half of it before a
-// Save/Load restart (the -table-cache warm start) and half after, on the
-// loaded table's own logical configurations.
+// restart through the rule cache (the -table-cache warm start) and half
+// after, on a fresh monitor built from the decoded configurations. Before
+// any FlowMod the rebuilt table equals Algorithm 2 over the saved rules;
+// after every FlowMod it equals a from-scratch build, by deltas only.
 func TestProxyHooksIncrementalWarmStart(t *testing.T) {
 	r := newProxyRig(t, FatTree(4))
 	mods := routeAll(t, r.net)
@@ -386,16 +387,22 @@ func TestProxyHooksIncrementalWarmStart(t *testing.T) {
 		r.send(f)
 	}
 
-	var buf bytes.Buffer
-	if err := r.mon.PathTable().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf, r.net)
+	b, err := r.mon.SaveRules()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.mon = NewMonitorFromTable(r.net, loaded, MonitorConfig{})
-	r.hooks = r.mon.ProxyHooks(loaded.Configs)
+	loaded, err := LoadRules(b, r.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mon = NewMonitor(r.net, loaded, MonitorConfig{})
+	r.hooks = r.mon.ProxyHooks(loaded)
+	r.mon.Handle().Inspect(func(pt *core.PathTable) {
+		want := (&core.Builder{Net: r.net, Space: pt.Space, Params: pt.Params, Configs: r.ref}).Build()
+		if err := r.mon.Handle().Current().Diff(want); err != nil {
+			t.Fatalf("warm-started table: %v", err)
+		}
+	})
 	for _, f := range mods[half:] {
 		r.send(f)
 	}
