@@ -53,18 +53,6 @@ func (pt *PathTable) PathInferBlind(r *packet.Report) []topo.Path {
 	return pathset
 }
 
-// BlindReplays counts the replay work the blind search performs for one
-// report — the cost metric of the ablation (the guided search replays only
-// tag-consistent deviations from the post-failure suffix).
-func (pt *PathTable) BlindReplays(r *packet.Report) int {
-	intended := pt.IntendedPath(r.Inport, r.Header)
-	n := 0
-	for _, hop := range intended {
-		n += len(pt.Net.Switch(hop.Switch).Ports()) + 1
-	}
-	return n
-}
-
 // replayBlind is replayDeviation without the per-hop tag test.
 func (pt *PathTable) replayBlind(r *packet.Report, s topo.SwitchID, x, y topo.PortID, hopsBefore int) (topo.Path, bool) {
 	maxHops := pt.Net.MaxPathLength()

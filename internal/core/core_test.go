@@ -430,18 +430,14 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mirror every switch's rules into a PrefixTree, seeding deltas.
+	// Mirror every switch's rules into a PrefixTree under their rule IDs.
 	trees := make(map[topo.SwitchID]*flowtable.PrefixTree)
-	treeIDs := make(map[topo.SwitchID]map[uint64]uint64) // tree id → table id
 	for _, sw := range n.Switches() {
 		trees[sw.ID] = flowtable.NewPrefixTree(space, sw.Ports())
-		treeIDs[sw.ID] = make(map[uint64]uint64)
 		for _, r := range c.Logical()[sw.ID].Table.Rules() {
-			tid, _, err := trees[sw.ID].Insert(r.Match.DstPrefix, r.OutPort)
-			if err != nil {
+			if _, err := trees[sw.ID].Insert(r.ID, r.Match.DstPrefix, r.OutPort); err != nil {
 				t.Fatal(err)
 			}
-			treeIDs[sw.ID][tid] = r.ID
 		}
 	}
 
@@ -451,23 +447,19 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	pt := build()
 
 	type liveRule struct {
-		sw     topo.SwitchID
-		treeID uint64
+		sw topo.SwitchID
+		id uint64
 	}
 	var liveRules []liveRule
 	sws := n.Switches()
 	for step := 0; step < 60; step++ {
 		if len(liveRules) == 0 || rng.Intn(3) != 0 {
-			// Add a random prefix rule.
+			// Add a random prefix rule to the logical table, so scratch
+			// rebuilds agree, and to the tree under the same ID.
 			sw := sws[rng.Intn(len(sws))]
 			ports := sw.Ports()
 			port := ports[rng.Intn(len(ports))]
 			pfx := flowtable.Prefix{IP: uint32(10)<<24 | rng.Uint32()&0x00ffffff, Len: 10 + rng.Intn(20)}.Canonical()
-			tid, delta, err := trees[sw.ID].Insert(pfx, port)
-			if err != nil {
-				continue // duplicate prefix
-			}
-			// Mirror into the logical table so scratch rebuilds agree.
 			id, err := c.InstallRule(sw.ID, flowtable.Rule{
 				Priority: uint16(pfx.Len),
 				Match:    flowtable.Match{DstPrefix: pfx},
@@ -477,20 +469,26 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			treeIDs[sw.ID][tid] = id
+			delta, err := trees[sw.ID].Insert(id, pfx, port)
+			if err != nil { // duplicate prefix
+				if err := c.RemoveRule(sw.ID, id); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
 			if err := pt.ApplyDelta(sw.ID, delta); err != nil {
 				t.Fatal(err)
 			}
-			liveRules = append(liveRules, liveRule{sw.ID, tid})
+			liveRules = append(liveRules, liveRule{sw.ID, id})
 		} else {
 			// Remove a random previously-added rule.
 			i := rng.Intn(len(liveRules))
 			lr := liveRules[i]
-			delta, err := trees[lr.sw].Remove(lr.treeID)
+			delta, err := trees[lr.sw].Remove(lr.id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.RemoveRule(lr.sw, treeIDs[lr.sw][lr.treeID]); err != nil {
+			if err := c.RemoveRule(lr.sw, lr.id); err != nil {
 				t.Fatal(err)
 			}
 			if err := pt.ApplyDelta(lr.sw, delta); err != nil {

@@ -43,8 +43,8 @@ import (
 // in that table's header space.
 type prefixState struct {
 	// trees holds a prefix tree mirroring the rules of each switch that
-	// meets the §4.4 preconditions; the others have none.
-	trees map[topo.SwitchID]*switchTree
+	// meets the §4.4 preconditions, keyed by rule ID; the others have none.
+	trees map[topo.SwitchID]*flowtable.PrefixTree
 	// rewrites records that some switch's rules rewrite headers, which
 	// rules out deltas at every switch.
 	rewrites bool
@@ -52,18 +52,12 @@ type prefixState struct {
 	bddBase int
 }
 
-// switchTree is one switch's prefix tree and where each rule sits in it.
-type switchTree struct {
-	tree  *flowtable.PrefixTree
-	nodes map[uint64]uint64 // rule ID → tree node ID
-}
-
 // errNotPrefixRule rejects a rule outside §4.4's destination-prefix form.
 var errNotPrefixRule = errors.New("core: not a destination-prefix rule with priority equal to its length")
 
 // newPrefixState derives the trees from pt's logical configurations.
 func newPrefixState(pt *PathTable) *prefixState {
-	ps := &prefixState{trees: make(map[topo.SwitchID]*switchTree, len(pt.Configs))}
+	ps := &prefixState{trees: make(map[topo.SwitchID]*flowtable.PrefixTree, len(pt.Configs))}
 	for sw := range pt.Configs {
 		ps.rederive(pt, sw)
 	}
@@ -92,13 +86,13 @@ func (ps *prefixState) rederive(pt *PathTable, sw topo.SwitchID) {
 
 // newSwitchTree mirrors cfg's rules into a prefix tree, or returns nil when
 // the switch fails the §4.4 preconditions.
-func newSwitchTree(space *header.Space, cfg *flowtable.SwitchConfig) *switchTree {
+func newSwitchTree(space *header.Space, cfg *flowtable.SwitchConfig) *flowtable.PrefixTree {
 	if cfg.HasACLs() {
 		return nil
 	}
-	t := &switchTree{tree: flowtable.NewPrefixTree(space, cfg.Ports), nodes: make(map[uint64]uint64, cfg.Table.Len())}
+	t := flowtable.NewPrefixTree(space, cfg.Ports)
 	for _, r := range cfg.Table.Rules() {
-		if _, err := t.insert(r); err != nil {
+		if _, err := insertRule(t, r); err != nil {
 			return nil
 		}
 	}
@@ -114,30 +108,14 @@ func prefixRule(r *flowtable.Rule) bool {
 		int(r.Priority) == m.DstPrefix.Len && r.Rewrite.IsZero()
 }
 
-// insert adds r to the tree and returns the header set it moves. It fails
-// when r is not a prefix rule, its prefix is taken or is 0.0.0.0/0, or it
-// outputs to a port the switch lacks.
-func (t *switchTree) insert(r *flowtable.Rule) (flowtable.Delta, error) {
+// insertRule adds r to t under its rule ID and returns the header set it
+// moves. It fails when r is not a prefix rule, its prefix is taken or is
+// 0.0.0.0/0, or it outputs to a port the switch lacks.
+func insertRule(t *flowtable.PrefixTree, r *flowtable.Rule) (flowtable.Delta, error) {
 	if !prefixRule(r) {
 		return flowtable.Delta{}, errNotPrefixRule
 	}
-	node, d, err := t.tree.Insert(r.Match.DstPrefix, r.EffectiveOut())
-	if err != nil {
-		return d, err
-	}
-	t.nodes[r.ID] = node
-	return d, nil
-}
-
-// remove takes rule id out of the tree and returns the header set that
-// reverts to the enclosing rule's port.
-func (t *switchTree) remove(id uint64) (flowtable.Delta, error) {
-	node, ok := t.nodes[id]
-	if !ok {
-		return flowtable.Delta{}, fmt.Errorf("core: rule %d is not in the prefix tree", id)
-	}
-	delete(t.nodes, id)
-	return t.tree.Remove(node)
+	return t.Insert(r.ID, r.Match.DstPrefix, r.EffectiveOut())
 }
 
 // ApplyFlowMod applies one FlowMod bound for switch sw — as the
@@ -200,12 +178,12 @@ func (h *Handle) applyDeltas(sw topo.SwitchID, old, cur *flowtable.Rule) bool {
 		return false
 	}
 	if old != nil {
-		if d, err := t.remove(old.ID); err != nil || h.work.ApplyDelta(sw, d) != nil {
+		if d, err := t.Remove(old.ID); err != nil || h.work.ApplyDelta(sw, d) != nil {
 			return false
 		}
 	}
 	if cur != nil {
-		if d, err := t.insert(cur); err != nil || h.work.ApplyDelta(sw, d) != nil {
+		if d, err := insertRule(t, cur); err != nil || h.work.ApplyDelta(sw, d) != nil {
 			return false
 		}
 	}

@@ -48,3 +48,32 @@ func TestApplyFlowModChurnStaysBounded(t *testing.T) {
 		}
 	})
 }
+
+// TestApplyFlowModRejectsRuleIDZero: a FlowAdd must name its rule. With ID
+// 0 the table would pick an ID that neither the controller nor the switch
+// knows, and the monitor would silently fall out of step, so the Handle
+// refuses it: an error, no publication, and the configuration unchanged.
+func TestApplyFlowModRejectsRuleIDZero(t *testing.T) {
+	d := newDiamondEnv(t)
+	h := NewHandle(d.pt)
+	before := h.Current()
+	rules := d.pt.Configs[d.s1].Table.Len()
+	add := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: d.s1, Rule: flowtable.Rule{
+		Priority: 32, Match: flowtable.Match{DstPrefix: flowtable.Prefix{IP: 0x0a000201, Len: 32}}, Action: flowtable.ActOutput, OutPort: 4,
+	}}
+	if err := h.ApplyFlowMod(d.s1, add); err == nil {
+		t.Fatal("FlowAdd without a rule ID accepted")
+	}
+	if h.Current() != before {
+		t.Fatal("rejected FlowMod published a snapshot")
+	}
+	if got := d.pt.Configs[d.s1].Table.Len(); got != rules {
+		t.Fatalf("rejected FlowMod left S1 with %d rules, want %d", got, rules)
+	}
+	h.Inspect(func(pt *PathTable) {
+		want := (&Builder{Net: pt.Net, Space: pt.Space, Params: pt.Params, Configs: pt.Configs}).Build()
+		if err := h.Current().Diff(want); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

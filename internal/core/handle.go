@@ -176,7 +176,9 @@ func (h *Handle) Current() *Snapshot { return h.cur.Load() }
 // before the rule change or after it, never in between. A rejected delta
 // changes nothing and publishes nothing. The delta is the caller's: the
 // Handle's own prefix trees no longer describe the table, and ApplyFlowMod
-// re-derives them from the logical configurations.
+// re-derives them from the logical configurations. Live updates go through
+// ApplyFlowMod, which derives its deltas itself; ApplyDelta is the hook
+// that lets the handle and race tests publish one exact delta.
 func (h *Handle) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -36,7 +36,7 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 
 	tagA := d.tagFor(t, h.Current()) // via S2
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	id, delta, err := d.tree.Insert(host32, 4)
+	delta, err := d.tree.Insert(hostRule, host32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 			busy = false
 		default:
 		}
-		delta, err := d.tree.Remove(id)
+		delta, err := d.tree.Remove(hostRule)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {
 			t.Fatal(err)
 		}
-		if id, delta, err = d.tree.Insert(host32, 4); err != nil {
+		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {
@@ -161,7 +161,7 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 
 	tagA := d.tagFor(t, h.Current())
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	id, delta, err := d.tree.Insert(host32, 4)
+	delta, err := d.tree.Insert(hostRule, host32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +205,14 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 
 	const flips = 100
 	for i := 0; i < flips; i++ {
-		delta, err := d.tree.Remove(id)
+		delta, err := d.tree.Remove(hostRule)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {
 			t.Fatal(err)
 		}
-		if id, delta, err = d.tree.Insert(host32, 4); err != nil {
+		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {

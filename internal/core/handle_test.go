@@ -54,7 +54,7 @@ func newDiamondEnv(t *testing.T) *diamondEnv {
 	}
 	pt := (&Builder{Net: n, Space: space, Params: bloom.DefaultParams, Configs: c.Logical()}).Build()
 	tree := flowtable.NewPrefixTree(space, n.SwitchByName("S1").Ports())
-	if _, _, err := tree.Insert(dst24, 3); err != nil { // mirror S1's build-time state
+	if _, err := tree.Insert(1, dst24, 3); err != nil { // mirror S1's build-time state
 		t.Fatal(err)
 	}
 	return &diamondEnv{
@@ -65,6 +65,9 @@ func newDiamondEnv(t *testing.T) *diamondEnv {
 		pair: [2]topo.PortKey{{Switch: s1, Port: 1}, {Switch: s3, Port: 2}},
 	}
 }
+
+// hostRule is the tree's rule ID for the H3 /32 the tests toggle on S1.
+const hostRule = 100
 
 // tagFor finds the tag of the pair's entry admitting the flow's header in
 // the current snapshot.
@@ -93,7 +96,7 @@ func TestHandleStormOneVerdict(t *testing.T) {
 
 	tagA := d.tagFor(t, h.Current()) // via S2
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	id, delta, err := d.tree.Insert(host32, 4)
+	delta, err := d.tree.Insert(hostRule, host32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +139,14 @@ func TestHandleStormOneVerdict(t *testing.T) {
 		}()
 	}
 	for i := 0; i < flips; i++ {
-		delta, err := d.tree.Remove(id)
+		delta, err := d.tree.Remove(hostRule)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {
 			t.Fatal(err)
 		}
-		if id, delta, err = d.tree.Insert(host32, 4); err != nil {
+		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.ApplyDelta(d.s1, delta); err != nil {
@@ -188,7 +191,7 @@ func TestHandleMatchesTable(t *testing.T) {
 
 	check("initial")
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	id, delta, err := d.tree.Insert(host32, 4)
+	delta, err := d.tree.Insert(hostRule, host32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestHandleMatchesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after insert")
-	if delta, err = d.tree.Remove(id); err != nil {
+	if delta, err = d.tree.Remove(hostRule); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.ApplyDelta(d.s1, delta); err != nil {
@@ -345,7 +348,7 @@ func TestVerdictCacheCoherence(t *testing.T) {
 	// goes stale. Its shard gets a new epoch and its entry is recomputed;
 	// the drop pair's shard keeps its epoch, and its verdict stays cached.
 	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	_, delta, err := d.tree.Insert(host32, 4)
+	delta, err := d.tree.Insert(hostRule, host32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

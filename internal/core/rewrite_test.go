@@ -174,7 +174,7 @@ func TestApplyDeltaRejectsRewritingPairs(t *testing.T) {
 	_ = f
 	s3 := n.SwitchByName("s3").ID
 	tree := flowtable.NewPrefixTree(pt.Space, n.SwitchByName("s3").Ports())
-	_, delta, err := tree.Insert(flowtable.Prefix{IP: header.MustParseIP("203.0.113.80"), Len: 32}, 3)
+	delta, err := tree.Insert(1, flowtable.Prefix{IP: header.MustParseIP("203.0.113.80"), Len: 32}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

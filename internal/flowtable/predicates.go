@@ -93,14 +93,7 @@ func (c *SwitchConfig) Forward(in topo.PortID, h header.Header) (topo.PortID, *h
 	if out == topo.DropPort {
 		return topo.DropPort, nil
 	}
-	valid := false
-	for _, p := range c.Ports {
-		if p == out {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	if !validOut(c.Ports, out) {
 		return topo.DropPort, nil
 	}
 	rw := r.Rewrite
@@ -121,14 +114,6 @@ func (c *SwitchConfig) inPredicate(s *header.Space, x topo.PortID) bdd.Ref {
 	return s.All()
 }
 
-// outPredicate returns P_y^out.
-func (c *SwitchConfig) outPredicate(s *header.Space, y topo.PortID) bdd.Ref {
-	if acl, ok := c.OutACL[y]; ok {
-		return acl.Predicate(s)
-	}
-	return s.All()
-}
-
 // usesInPort reports whether any rule constrains the input port, in which
 // case forwarding predicates differ per input port.
 func (c *SwitchConfig) usesInPort() bool {
@@ -138,44 +123,6 @@ func (c *SwitchConfig) usesInPort() bool {
 		}
 	}
 	return false
-}
-
-// ForwardPredicates computes P_y^fwd for every output port y, including ⊥,
-// for packets arriving on inPort (pass 0 when no rule matches on input
-// port). The scan walks rules in match order, tracking the header set not
-// yet claimed by a higher-priority rule, so overlapping priorities resolve
-// exactly as Lookup does.
-func (c *SwitchConfig) ForwardPredicates(s *header.Space, inPort topo.PortID) map[topo.PortID]bdd.Ref {
-	preds := make(map[topo.PortID]bdd.Ref, len(c.Ports)+1)
-	for _, p := range c.Ports {
-		preds[p] = s.None()
-	}
-	preds[topo.DropPort] = s.None()
-	remaining := s.All()
-	for _, r := range c.Table.Rules() {
-		if remaining == bdd.False {
-			break
-		}
-		if r.Match.InPort != 0 && r.Match.InPort != inPort {
-			continue
-		}
-		m := r.Match.HeaderPredicate(s)
-		hit := s.T.And(remaining, m)
-		if hit == bdd.False {
-			continue
-		}
-		out := r.EffectiveOut()
-		if _, known := preds[out]; !known {
-			// Rule points at a nonexistent port: the packet vanishes,
-			// which the consistency model treats as a drop.
-			out = topo.DropPort
-		}
-		preds[out] = s.T.Or(preds[out], hit)
-		remaining = s.T.Diff(remaining, hit)
-	}
-	// Unmatched headers drop: P_⊥^fwd = ¬(∨_y P_y^fwd).
-	preds[topo.DropPort] = s.T.Or(preds[topo.DropPort], remaining)
-	return preds
 }
 
 // PortPair indexes a transfer predicate: packets entering In may leave Out.
@@ -193,11 +140,14 @@ type TransferEntry struct {
 	Rewrite *header.Rewrite
 }
 
-// TransferFuncs generalizes TransferPredicates to rewriting rules: for
-// every ⟨in, out⟩ pair, the guarded rewrites that apply. For configurations
-// without rewrites it degenerates to exactly one nil-rewrite entry per
-// pair, guard equal to the §4.1 transfer predicate. Out-bound ACLs are
-// evaluated on the post-rewrite header via preimages.
+// TransferFuncs is the switch's one symbolic semantics: the §4.1 transfer
+// predicates P_{x,y} for every input port x and output port y ∈ Ports ∪
+// {⊥}, generalized to rewriting rules as the guarded rewrites that apply
+// to each ⟨in, out⟩ pair. For configurations without rewrites it
+// degenerates to exactly one nil-rewrite entry per pair, guard equal to
+// P_{x,y}. Out-bound ACLs are evaluated on the post-rewrite header via
+// preimages. Algorithm 2 traverses these functions, and §4.4's incremental
+// path patches their guards in place (PrefixTree supplies the deltas).
 func (c *SwitchConfig) TransferFuncs(s *header.Space) map[PortPair][]TransferEntry {
 	out := make(map[PortPair][]TransferEntry, len(c.Ports)*(len(c.Ports)+1))
 	addEntry := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
@@ -326,47 +276,4 @@ func validOut(ports []topo.PortID, p topo.PortID) bool {
 		}
 	}
 	return false
-}
-
-// TransferPredicates computes P_{x,y} for every input port x and output
-// port y ∈ Ports ∪ {⊥}, composing ACLs and forwarding per the §4.1
-// equations. This is the whole-switch computation used for initial
-// path-table construction; §4.4's incremental path goes through PrefixTree.
-func (c *SwitchConfig) TransferPredicates(s *header.Space) map[PortPair]bdd.Ref {
-	out := make(map[PortPair]bdd.Ref, len(c.Ports)*(len(c.Ports)+1))
-
-	// Forwarding predicates: shared across input ports unless some rule
-	// matches on the input port.
-	perInput := c.usesInPort()
-	var shared map[topo.PortID]bdd.Ref
-	if !perInput {
-		shared = c.ForwardPredicates(s, 0)
-	}
-
-	// Out-ACL predicates are input-independent; compute once.
-	outPred := make(map[topo.PortID]bdd.Ref, len(c.Ports))
-	for _, y := range c.Ports {
-		outPred[y] = c.outPredicate(s, y)
-	}
-
-	for _, x := range c.Ports {
-		fwd := shared
-		if perInput {
-			fwd = c.ForwardPredicates(s, x)
-		}
-		pin := c.inPredicate(s, x)
-
-		// Drop predicate accumulates its three causes.
-		drop := s.T.Not(pin)                                  // filtered by in-ACL
-		drop = s.T.Or(drop, s.T.And(pin, fwd[topo.DropPort])) // not forwarded
-
-		for _, y := range c.Ports {
-			pxy := s.T.And(pin, s.T.And(fwd[y], outPred[y]))
-			out[PortPair{x, y}] = pxy
-			blocked := s.T.And(fwd[y], s.T.Not(outPred[y])) // filtered by out-ACL
-			drop = s.T.Or(drop, s.T.And(pin, blocked))
-		}
-		out[PortPair{x, topo.DropPort}] = drop
-	}
-	return out
 }

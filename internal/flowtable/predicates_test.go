@@ -55,56 +55,76 @@ func simulate(c *SwitchConfig, inPort topo.PortID, h header.Header) topo.PortID 
 	return out
 }
 
+// transferGuards folds each pair's TransferFuncs entries into one guard:
+// for a configuration without rewrites, the §4.1 transfer predicate
+// P_{x,y}.
+func transferGuards(s *header.Space, c *SwitchConfig) map[PortPair]bdd.Ref {
+	out := make(map[PortPair]bdd.Ref)
+	for pp, es := range c.TransferFuncs(s) {
+		g := bdd.False
+		for _, e := range es {
+			g = s.T.Or(g, e.Guard)
+		}
+		out[pp] = g
+	}
+	return out
+}
+
 func TestForwardPredicatesPriority(t *testing.T) {
 	s := header.NewSpace()
 	c := buildConfig()
-	fwd := c.ForwardPredicates(s, 0)
+	// Port 3 has no in-ACL, and the headers below pass port 2's out-ACL,
+	// so P_{3,y} is the forwarding predicate P_y^fwd on them.
+	tp := transferGuards(s, c)
+	fwd := func(y topo.PortID) bdd.Ref { return tp[PortPair{3, y}] }
 	ssh := header.Header{SrcIP: ip("10.1.1.1"), DstIP: ip("10.0.2.9"), Proto: header.ProtoTCP, DstPort: 22}
 	web := header.Header{SrcIP: ip("10.1.1.1"), DstIP: ip("10.0.2.9"), Proto: header.ProtoTCP, DstPort: 80}
-	if !s.Contains(fwd[2], ssh) {
+	if !s.Contains(fwd(2), ssh) {
 		t.Fatal("SSH should forward to port 2")
 	}
-	if s.Contains(fwd[3], ssh) {
+	if s.Contains(fwd(3), ssh) {
 		t.Fatal("high-priority SSH leaked into the low-priority port")
 	}
-	if !s.Contains(fwd[3], web) {
+	if !s.Contains(fwd(3), web) {
 		t.Fatal("web should forward to port 3")
 	}
 	dropped := header.Header{DstIP: ip("10.0.3.9")}
-	if !s.Contains(fwd[topo.DropPort], dropped) {
+	if !s.Contains(fwd(topo.DropPort), dropped) {
 		t.Fatal("explicit drop rule missing from ⊥ predicate")
 	}
 	unmatched := header.Header{DstIP: ip("99.0.0.1")}
-	if !s.Contains(fwd[topo.DropPort], unmatched) {
+	if !s.Contains(fwd(topo.DropPort), unmatched) {
 		t.Fatal("unmatched traffic missing from ⊥ predicate")
 	}
 }
 
-// TestForwardPredicatesPartition: the per-port forwarding predicates
-// (including ⊥) partition the header space.
+// TestForwardPredicatesPartition: for every input port, the transfer
+// predicates (including ⊥) partition the header space.
 func TestForwardPredicatesPartition(t *testing.T) {
 	s := header.NewSpace()
 	c := buildConfig()
-	fwd := c.ForwardPredicates(s, 0)
-	union := bdd.False
+	tp := transferGuards(s, c)
 	ports := append([]topo.PortID{topo.DropPort}, c.Ports...)
-	for i, a := range ports {
-		union = s.T.Or(union, fwd[a])
-		for _, b := range ports[i+1:] {
-			if s.T.And(fwd[a], fwd[b]) != bdd.False {
-				t.Fatalf("forwarding predicates for ports %s and %s overlap", a, b)
+	for _, x := range c.Ports {
+		union := bdd.False
+		for i, a := range ports {
+			union = s.T.Or(union, tp[PortPair{x, a}])
+			for _, b := range ports[i+1:] {
+				if s.T.And(tp[PortPair{x, a}], tp[PortPair{x, b}]) != bdd.False {
+					t.Fatalf("transfer predicates for %s→%s and %s→%s overlap", x, a, x, b)
+				}
 			}
 		}
-	}
-	if union != bdd.True {
-		t.Fatal("forwarding predicates do not cover the header space")
+		if union != bdd.True {
+			t.Fatalf("transfer predicates from port %s do not cover the header space", x)
+		}
 	}
 }
 
 func TestTransferPredicatesACLTerms(t *testing.T) {
 	s := header.NewSpace()
 	c := buildConfig()
-	tp := c.TransferPredicates(s)
+	tp := transferGuards(s, c)
 
 	// UDP arriving on port 1 is dropped by the in-ACL.
 	udp := header.Header{SrcIP: ip("10.1.1.1"), DstIP: ip("10.0.2.9"), Proto: header.ProtoUDP, DstPort: 22}
@@ -134,7 +154,7 @@ func TestTransferPredicatesACLTerms(t *testing.T) {
 func TestTransferAgreesWithSimulation(t *testing.T) {
 	s := header.NewSpace()
 	c := buildConfig()
-	tp := c.TransferPredicates(s)
+	tp := transferGuards(s, c)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 500; trial++ {
 		h := header.Header{
@@ -183,7 +203,7 @@ func TestTransferPerInputPortRules(t *testing.T) {
 	// Port-1 traffic detours to port 3 (Figure 5's Rule 5 pattern).
 	c.Table.Add(&Rule{Priority: 10, Match: Match{InPort: 1}, Action: ActOutput, OutPort: 3})
 	c.Table.Add(&Rule{Priority: 5, Action: ActOutput, OutPort: 2})
-	tp := c.TransferPredicates(s)
+	tp := transferGuards(s, c)
 	h := header.Header{DstIP: ip("10.0.0.1")}
 	if !s.Contains(tp[PortPair{1, 3}], h) {
 		t.Fatal("in-port rule should send port-1 traffic to 3")
@@ -284,8 +304,7 @@ func TestRuleToNonexistentPortDrops(t *testing.T) {
 	s := header.NewSpace()
 	c := NewSwitchConfig([]topo.PortID{1, 2})
 	c.Table.Add(&Rule{Priority: 5, Action: ActOutput, OutPort: 9})
-	fwd := c.ForwardPredicates(s, 0)
-	if fwd[topo.DropPort] != bdd.True {
+	if transferGuards(s, c)[PortPair{1, topo.DropPort}] != bdd.True {
 		t.Fatal("rule to a nonexistent port should drop everything")
 	}
 }

@@ -1,13 +1,15 @@
 // The prefix tree of §4.4: destination-prefix forwarding rules organized by
 // prefix containment, with a virtual drop rule at 0.0.0.0/0 turning the
-// forest into a tree. The tree maintains per-output-port predicates
-// incrementally — adding or deleting a rule touches exactly two ports:
+// forest into a tree. Adding or deleting a rule R moves exactly one header
+// set between two output ports, and the tree returns that move as a Delta:
 //
-//	add R (out x, parent out y):   P_x ← P_x ∨ R.match,  P_y ← P_y ∧ ¬R.match
-//	del R (out x, parent out y):   P_x ← P_x ∧ ¬R.match, P_y ← P_y ∨ R.match
+//	add R (out x, parent out y):   Δ = R.match moves y → x
+//	del R (out x, parent out y):   Δ = R.match moves x → y
 //
 // where R.match = R.prefix ∧ ¬(∨ children prefixes) is the longest-match
-// exclusive header set of the rule.
+// exclusive header set of the rule. The tree keeps no predicates of its
+// own: the switch's transfer guards (SwitchConfig.TransferFuncs) are the
+// one copy, and the path table patches them with each Delta.
 
 package flowtable
 
@@ -22,20 +24,18 @@ import (
 // pnode is one tree node: a rule plus the rules immediately nested inside
 // its prefix.
 type pnode struct {
-	id       uint64
 	prefix   Prefix
 	outPort  topo.PortID // topo.DropPort for the virtual root
 	children []*pnode
 }
 
-// PrefixTree holds one switch's destination-prefix rules and their
-// incrementally-maintained port predicates.
+// PrefixTree holds one switch's destination-prefix rules, keyed by the
+// caller's rule IDs.
 type PrefixTree struct {
-	space  *header.Space
-	root   *pnode
-	byID   map[uint64]*pnode
-	preds  map[topo.PortID]bdd.Ref
-	nextID uint64
+	space *header.Space
+	ports []topo.PortID
+	root  *pnode
+	byID  map[uint64]*pnode
 }
 
 // Delta describes the header-space change one rule add/delete caused: the
@@ -50,33 +50,13 @@ type Delta struct {
 // NewPrefixTree returns a tree over the given real ports, initially
 // dropping everything (only the virtual 0.0.0.0/0 drop rule is present).
 func NewPrefixTree(s *header.Space, ports []topo.PortID) *PrefixTree {
-	t := &PrefixTree{
-		space:  s,
-		root:   &pnode{prefix: Prefix{0, 0}, outPort: topo.DropPort},
-		byID:   make(map[uint64]*pnode),
-		preds:  make(map[topo.PortID]bdd.Ref, len(ports)+1),
-		nextID: 1,
+	return &PrefixTree{
+		space: s,
+		ports: ports,
+		root:  &pnode{prefix: Prefix{0, 0}, outPort: topo.DropPort},
+		byID:  make(map[uint64]*pnode),
 	}
-	for _, p := range ports {
-		t.preds[p] = bdd.False
-	}
-	t.preds[topo.DropPort] = bdd.True
-	return t
 }
-
-// Predicate returns the current P_y for the port (False for unknown ports).
-func (t *PrefixTree) Predicate(y topo.PortID) bdd.Ref {
-	if r, ok := t.preds[y]; ok {
-		return r
-	}
-	return bdd.False
-}
-
-// Predicates returns the full port→predicate map (shared; do not mutate).
-func (t *PrefixTree) Predicates() map[topo.PortID]bdd.Ref { return t.preds }
-
-// Len returns the number of real (non-virtual) rules in the tree.
-func (t *PrefixTree) Len() int { return len(t.byID) }
 
 // findParent descends from the root to the deepest node whose prefix
 // contains p, which will be the new rule's parent.
@@ -104,23 +84,26 @@ func (t *PrefixTree) match(n *pnode) bdd.Ref {
 	return m
 }
 
-// Insert adds a destination-prefix rule forwarding to outPort and returns
-// its assigned ID and the predicate delta. Duplicate prefixes are rejected:
-// longest-prefix match cannot disambiguate them.
-func (t *PrefixTree) Insert(p Prefix, outPort topo.PortID) (uint64, Delta, error) {
+// Insert adds rule id, forwarding prefix p to outPort (topo.DropPort for a
+// drop rule), and returns the header set it moves. Duplicate IDs and
+// duplicate prefixes are rejected (longest-prefix match cannot
+// disambiguate the latter), as are 0.0.0.0/0 and ports the switch lacks.
+func (t *PrefixTree) Insert(id uint64, p Prefix, outPort topo.PortID) (Delta, error) {
 	p = p.Canonical()
-	if _, known := t.preds[outPort]; !known {
-		return 0, Delta{}, fmt.Errorf("flowtable: prefix tree has no port %s", outPort)
+	if _, dup := t.byID[id]; dup {
+		return Delta{}, fmt.Errorf("flowtable: prefix tree already has rule %d", id)
+	}
+	if outPort != topo.DropPort && !validOut(t.ports, outPort) {
+		return Delta{}, fmt.Errorf("flowtable: prefix tree has no port %s", outPort)
+	}
+	if p.Len == 0 {
+		return Delta{}, fmt.Errorf("flowtable: cannot install 0.0.0.0/0 over the virtual root")
 	}
 	parent := t.findParent(p)
-	if parent.prefix.Equal(p) && parent != t.root {
-		return 0, Delta{}, fmt.Errorf("flowtable: duplicate prefix %s", p)
+	if parent.prefix.Equal(p) {
+		return Delta{}, fmt.Errorf("flowtable: duplicate prefix %s", p)
 	}
-	if parent == t.root && p.Len == 0 {
-		return 0, Delta{}, fmt.Errorf("flowtable: cannot install 0.0.0.0/0 over the virtual root")
-	}
-	n := &pnode{id: t.nextID, prefix: p, outPort: outPort}
-	t.nextID++
+	n := &pnode{prefix: p, outPort: outPort}
 
 	// Children of the parent that nest inside p move under n.
 	kept := parent.children[:0]
@@ -132,20 +115,13 @@ func (t *PrefixTree) Insert(p Prefix, outPort topo.PortID) (uint64, Delta, error
 		}
 	}
 	parent.children = append(kept, n)
-	t.byID[n.id] = n
-
-	delta := t.match(n)
-	// A child forwarding to its parent's port changes no predicate: the
-	// same headers keep flowing to the same port (From == To).
-	if parent.outPort != outPort {
-		t.preds[outPort] = t.space.T.Or(t.preds[outPort], delta)
-		t.preds[parent.outPort] = t.space.T.Diff(t.preds[parent.outPort], delta)
-	}
-	return n.id, Delta{Set: delta, From: parent.outPort, To: outPort}, nil
+	t.byID[id] = n
+	// A child forwarding to its parent's port moves nothing (From == To).
+	return Delta{Set: t.match(n), From: parent.outPort, To: outPort}, nil
 }
 
-// Remove deletes the rule with the given ID and returns the predicate
-// delta: its exclusive match reverts to the parent's port.
+// Remove deletes rule id and returns the header set that reverts to the
+// enclosing rule's port.
 func (t *PrefixTree) Remove(id uint64) (Delta, error) {
 	n, ok := t.byID[id]
 	if !ok {
@@ -163,11 +139,6 @@ func (t *PrefixTree) Remove(id uint64) (Delta, error) {
 	}
 	parent.children = append(kept, n.children...)
 	delete(t.byID, id)
-
-	if n.outPort != parent.outPort {
-		t.preds[n.outPort] = t.space.T.Diff(t.preds[n.outPort], delta)
-		t.preds[parent.outPort] = t.space.T.Or(t.preds[parent.outPort], delta)
-	}
 	return Delta{Set: delta, From: n.outPort, To: parent.outPort}, nil
 }
 
@@ -188,22 +159,5 @@ descend:
 		}
 		// Unreachable for nodes present in the tree.
 		panic("flowtable: prefix tree parent not found")
-	}
-}
-
-// LookupPort returns the output port longest-prefix matching dst — the
-// reference semantics the predicates must agree with (tested by property
-// tests).
-func (t *PrefixTree) LookupPort(dst uint32) topo.PortID {
-	cur := t.root
-descend:
-	for {
-		for _, c := range cur.children {
-			if c.prefix.Matches(dst) {
-				cur = c
-				continue descend
-			}
-		}
-		return cur.outPort
 	}
 }

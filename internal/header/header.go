@@ -112,9 +112,6 @@ func NewSpace() *Space {
 // All returns the all-match header set (the BDD True).
 func (s *Space) All() bdd.Ref { return bdd.True }
 
-// None returns the empty header set (the BDD False).
-func (s *Space) None() bdd.Ref { return bdd.False }
-
 // fieldEq builds the predicate "field == value" for a field of width bits
 // starting at offset.
 func (s *Space) fieldEq(offset, bits int, value uint32) bdd.Ref {
@@ -142,57 +139,6 @@ func (s *Space) fieldPrefix(offset, bits int, value uint32, plen int) bdd.Ref {
 	return s.T.Cube(vars, values)
 }
 
-// fieldRange builds the predicate lo <= field <= hi by recursive interval
-// splitting on the field's bits.
-func (s *Space) fieldRange(offset, bits int, lo, hi uint32) bdd.Ref {
-	if lo > hi {
-		return bdd.False
-	}
-	max := uint32(1)<<bits - 1
-	if bits == 32 {
-		max = ^uint32(0)
-	}
-	if lo == 0 && hi == max {
-		return bdd.True
-	}
-	// ge(lo) ∧ le(hi), each built bottom-up over the field's bits.
-	return s.T.And(s.fieldGE(offset, bits, lo), s.fieldLE(offset, bits, hi))
-}
-
-// fieldGE builds "field >= bound" bottom-up: at each bit position, if the
-// bound bit is 0, a 1 in the field makes the rest unconstrained.
-func (s *Space) fieldGE(offset, bits int, bound uint32) bdd.Ref {
-	acc := bdd.True // equality on all bits so far means >= holds
-	for i := bits - 1; i >= 0; i-- {
-		v := offset + i
-		bit := bound >> (bits - 1 - i) & 1
-		if bit == 0 {
-			// field bit 1 ⇒ strictly greater regardless of lower bits;
-			// field bit 0 ⇒ must still satisfy acc on the remaining bits.
-			acc = s.T.Or(s.T.Var(v), acc)
-		} else {
-			// field bit 0 ⇒ strictly less: fail; bit 1 ⇒ recurse.
-			acc = s.T.And(s.T.Var(v), acc)
-		}
-	}
-	return acc
-}
-
-// fieldLE builds "field <= bound" by the dual construction.
-func (s *Space) fieldLE(offset, bits int, bound uint32) bdd.Ref {
-	acc := bdd.True
-	for i := bits - 1; i >= 0; i-- {
-		v := offset + i
-		bit := bound >> (bits - 1 - i) & 1
-		if bit == 1 {
-			acc = s.T.Or(s.T.NVar(v), acc)
-		} else {
-			acc = s.T.And(s.T.NVar(v), acc)
-		}
-	}
-	return acc
-}
-
 // SrcIPPrefix returns the predicate src_ip ∈ prefix/plen.
 func (s *Space) SrcIPPrefix(prefix uint32, plen int) bdd.Ref {
 	return s.fieldPrefix(SrcIPOffset, SrcIPBits, prefix, plen)
@@ -217,16 +163,6 @@ func (s *Space) SrcPortEq(p uint16) bdd.Ref { return s.fieldEq(SrcPortOffset, Sr
 
 // DstPortEq returns the predicate dst_port == p.
 func (s *Space) DstPortEq(p uint16) bdd.Ref { return s.fieldEq(DstPortOffset, DstPortBits, uint32(p)) }
-
-// SrcPortRange returns the predicate lo <= src_port <= hi.
-func (s *Space) SrcPortRange(lo, hi uint16) bdd.Ref {
-	return s.fieldRange(SrcPortOffset, SrcPortBits, uint32(lo), uint32(hi))
-}
-
-// DstPortRange returns the predicate lo <= dst_port <= hi.
-func (s *Space) DstPortRange(lo, hi uint16) bdd.Ref {
-	return s.fieldRange(DstPortOffset, DstPortBits, uint32(lo), uint32(hi))
-}
 
 // HeaderSet returns the singleton predicate for a concrete 5-tuple. The
 // verification server uses this to test header ∈ path.headers (§5: "generate

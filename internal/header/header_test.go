@@ -127,41 +127,6 @@ func TestPrefixNesting(t *testing.T) {
 	}
 }
 
-func TestPortRange(t *testing.T) {
-	s := NewSpace()
-	r := s.DstPortRange(1000, 2000)
-	for _, c := range []struct {
-		port uint16
-		in   bool
-	}{{999, false}, {1000, true}, {1500, true}, {2000, true}, {2001, false}, {0, false}, {65535, false}} {
-		h := Header{DstPort: c.port}
-		if got := s.Contains(r, h); got != c.in {
-			t.Errorf("port %d: Contains = %v, want %v", c.port, got, c.in)
-		}
-	}
-	// Exact range count: 1001 ports × 2^88 free bits.
-	free := 1.0
-	for i := 0; i < NumVars-16; i++ {
-		free *= 2
-	}
-	if got := s.T.SatCount(r); got != 1001*free {
-		t.Fatalf("range SatCount = %g, want %g", got, 1001*free)
-	}
-}
-
-func TestPortRangeDegenerate(t *testing.T) {
-	s := NewSpace()
-	if s.DstPortRange(5, 4) != bdd.False {
-		t.Fatal("inverted range should be empty")
-	}
-	if s.DstPortRange(0, 65535) != bdd.True {
-		t.Fatal("full range should be all-match")
-	}
-	if s.DstPortRange(80, 80) != s.DstPortEq(80) {
-		t.Fatal("single-point range should equal equality predicate")
-	}
-}
-
 func TestNotDstPort22(t *testing.T) {
 	// The paper's Table 1 example: dst_port != 22 as the complement set.
 	s := NewSpace()
@@ -226,19 +191,6 @@ func TestQuickPrefixAgreesWithArithmetic(t *testing.T) {
 		set := s.DstIPPrefix(prefix, plen)
 		want := plen == 0 || prefix>>(32-plen) == addr>>(32-plen)
 		return s.Contains(set, Header{DstIP: addr}) == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: range membership agrees with arithmetic comparison.
-func TestQuickRangeAgreesWithArithmetic(t *testing.T) {
-	s := NewSpace()
-	prop := func(lo, hi, p uint16) bool {
-		set := s.DstPortRange(lo, hi)
-		want := lo <= p && p <= hi
-		return s.Contains(set, Header{DstPort: p}) == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

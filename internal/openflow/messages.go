@@ -13,6 +13,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"veridp/internal/flowtable"
@@ -123,10 +124,15 @@ type FlowMod struct {
 // installer and the verification server's logical tables share, so the
 // data plane and the monitor never read a FlowMod two ways. Modify
 // replaces the rule's priority, match and whole action set, its rewrite
-// included, as an OpenFlow modify replaces the action list.
+// included, as an OpenFlow modify replaces the action list. An add must
+// carry a RuleID: with 0 the table would pick an ID of its own, and the
+// parties would no longer agree on which rule later FlowMods name.
 func ApplyFlowMod(t *flowtable.Table, f *FlowMod) error {
 	switch f.Command {
 	case FlowAdd:
+		if f.RuleID == 0 {
+			return errors.New("openflow: FlowMod add without a rule ID")
+		}
 		r := f.Rule
 		r.ID = f.RuleID
 		_, err := t.Add(&r)

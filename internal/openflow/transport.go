@@ -28,59 +28,35 @@ const DefaultIOTimeout = 10 * time.Second
 //
 // Every read and write on the underlying socket is armed with a deadline
 // first (the deadline checker enforces this): writes and frame-body reads
-// use the I/O timeout; the frame-header read uses the idle timeout, which
-// defaults to zero (wait forever) because a healthy OpenFlow session is
-// silent between messages — cancelling an idle session is the owner's job,
-// via the context that Close()s the Conn and fails the parked read.
+// must finish within DefaultIOTimeout; the frame-header read waits forever
+// because a healthy OpenFlow session is silent between messages —
+// cancelling an idle session is the owner's job, via the context that
+// Close()s the Conn and fails the parked read.
 type Conn struct {
-	c           net.Conn
-	readMu      sync.Mutex
-	writeMu     sync.Mutex
-	nextXid     atomic.Uint32
-	ioTimeout   atomic.Int64 // ns; bounds writes and frame-body reads
-	idleTimeout atomic.Int64 // ns; bounds the wait for the next frame (0 = forever)
+	c       net.Conn
+	readMu  sync.Mutex
+	writeMu sync.Mutex
+	nextXid atomic.Uint32
 }
 
-// NewConn wraps a net.Conn with the default I/O timeout and no idle
-// timeout.
-func NewConn(c net.Conn) *Conn {
-	cc := &Conn{c: c}
-	cc.ioTimeout.Store(int64(DefaultIOTimeout))
-	return cc
-}
-
-// SetIOTimeout bounds each frame transfer (write, or body read after a
-// header). Zero or negative disables the bound.
-func (c *Conn) SetIOTimeout(d time.Duration) { c.ioTimeout.Store(int64(d)) }
-
-// SetIdleTimeout bounds the wait for the next inbound frame header. Zero
-// (the default) waits forever; the connection's lifetime is then governed
-// by its owner cancelling/Closing it.
-func (c *Conn) SetIdleTimeout(d time.Duration) { c.idleTimeout.Store(int64(d)) }
-
-// deadlineFor converts a stored timeout into an absolute deadline; the
-// zero time clears the deadline, which is how "wait forever" is armed.
-func deadlineFor(ns int64) time.Time {
-	if ns <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(time.Duration(ns))
-}
+// NewConn wraps a net.Conn.
+func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
 // armWrite sets the write deadline for one frame write.
 func (c *Conn) armWrite() error {
-	return c.c.SetWriteDeadline(deadlineFor(c.ioTimeout.Load()))
+	return c.c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 }
 
 // armRead sets the read deadline for a frame-body read (the frame has
 // started; the rest must arrive within the I/O timeout).
 func (c *Conn) armRead() error {
-	return c.c.SetReadDeadline(deadlineFor(c.ioTimeout.Load()))
+	return c.c.SetReadDeadline(time.Now().Add(DefaultIOTimeout))
 }
 
-// armIdle sets the read deadline for the between-frames wait.
+// armIdle clears the read deadline for the between-frames wait: the zero
+// time is how "wait forever" is armed.
 func (c *Conn) armIdle() error {
-	return c.c.SetReadDeadline(deadlineFor(c.idleTimeout.Load()))
+	return c.c.SetReadDeadline(time.Time{})
 }
 
 // Close closes the underlying connection.

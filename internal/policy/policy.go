@@ -19,7 +19,6 @@ import (
 	"veridp/internal/controller"
 	"veridp/internal/core"
 	"veridp/internal/flowtable"
-	"veridp/internal/header"
 	"veridp/internal/topo"
 )
 
@@ -233,16 +232,4 @@ func (s Suite) Check(pt *core.PathTable) []error {
 		}
 	}
 	return errs
-}
-
-// CheckHeader verifies one concrete header end to end against the path
-// table's intent — a convenience for operators poking at a flow: it
-// returns the intended path and whether it delivers.
-func CheckHeader(pt *core.PathTable, from topo.PortKey, h header.Header) (topo.Path, bool) {
-	p := pt.IntendedPath(from, h)
-	if len(p) == 0 {
-		return nil, false
-	}
-	last := p[len(p)-1]
-	return p, pt.Net.IsEdgePort(topo.PortKey{Switch: last.Switch, Port: last.Out})
 }

@@ -167,18 +167,3 @@ func TestPolicyErrors(t *testing.T) {
 		t.Fatal("unknown waypoint host accepted")
 	}
 }
-
-func TestCheckHeader(t *testing.T) {
-	n := topo.Linear(2, 1)
-	suite := Suite{Reachability{SrcHost: "h1-0", DstHost: "h2-0"}}
-	_, _, pt := build(t, n, suite)
-	h := header.Header{SrcIP: n.Host("h1-0").IP, DstIP: n.Host("h2-0").IP, Proto: 6}
-	path, delivered := CheckHeader(pt, n.Host("h1-0").Attach, h)
-	if !delivered || len(path) != 2 {
-		t.Fatalf("CheckHeader: delivered=%v path=%v", delivered, path)
-	}
-	bogus := header.Header{SrcIP: 1, DstIP: 2}
-	if _, delivered := CheckHeader(pt, n.Host("h1-0").Attach, bogus); delivered {
-		t.Fatal("unroutable header reported delivered")
-	}
-}

@@ -71,10 +71,6 @@ func (e *Env) Handle() *core.Handle {
 	return e.handle
 }
 
-// InvalidateTable drops the cached table and handle (after deliberate
-// logical changes).
-func (e *Env) InvalidateTable() { e.table, e.handle = nil, nil }
-
 // newEnv wires the common plumbing. Extra fabric options (capture taps,
 // samplers, clocks) append after the params option.
 func newEnv(name string, n *topo.Network, params bloom.Params, opts ...dataplane.Option) *Env {

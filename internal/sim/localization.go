@@ -33,15 +33,6 @@ func (r LocalizationResult) Probability() float64 {
 	return float64(r.RecoveredPaths) / float64(r.FailedVerifications)
 }
 
-// SwitchAccuracy returns the fraction of failures whose blamed switch was
-// exactly the faulty one.
-func (r LocalizationResult) SwitchAccuracy() float64 {
-	if r.FailedVerifications == 0 {
-		return 0
-	}
-	return float64(r.CorrectSwitch) / float64(r.FailedVerifications)
-}
-
 // StrawmanAccuracy returns the same metric for the strawman baseline.
 func (r LocalizationResult) StrawmanAccuracy() float64 {
 	if r.FailedVerifications == 0 {

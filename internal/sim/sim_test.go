@@ -378,50 +378,18 @@ func TestReportVolumeBeatsNetSight(t *testing.T) {
 	}
 }
 
-// TestIncrementalUpdateCorrectness: after the incremental run, verification
-// still matches data-plane behavior.
+// TestIncrementalUpdateCorrectness: after the incremental run, the
+// monitor's snapshot still matches data-plane behavior.
 func TestIncrementalUpdateCorrectness(t *testing.T) {
 	e, err := Internet2Env(testInternet2, bloom.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := e.Net.SwitchByName("wash")
-
-	type rule struct {
-		prefix flowtable.Prefix
-		port   topo.PortID
+	_, h, err := e.incrementalUpdate("wash")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var ids []uint64
-	var rules []rule
-	for _, r := range e.Ctrl.Logical()[target.ID].Table.Rules() {
-		ids = append(ids, r.ID)
-		rules = append(rules, rule{r.Match.DstPrefix, r.OutPort})
-	}
-	for _, id := range ids {
-		if err := e.Ctrl.RemoveRule(target.ID, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pt := e.Build()
-	tree := flowtable.NewPrefixTree(e.Space, target.Ports())
-	for _, r := range rules {
-		_, delta, err := tree.Insert(r.prefix, r.port)
-		if err != nil {
-			continue
-		}
-		if err := pt.ApplyDelta(target.ID, delta); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Ctrl.InstallRule(target.ID, flowtable.Rule{
-			Priority: uint16(r.prefix.Len),
-			Match:    flowtable.Match{DstPrefix: r.prefix},
-			Action:   flowtable.ActOutput,
-			OutPort:  r.port,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pt.Compact()
+	snap := h.Current()
 
 	// Spot-check: traffic through wash verifies against the updated table.
 	checked := 0
@@ -431,7 +399,7 @@ func TestIncrementalUpdateCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rep := range res.Reports {
-			if v := pt.Verify(rep); !v.OK {
+			if v := snap.Verify(rep); !v.OK {
 				t.Fatalf("post-update verification failed: %v (%s→%s)", v.Reason, ping.SrcHost, ping.DstHost)
 			}
 			checked++

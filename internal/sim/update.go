@@ -12,6 +12,7 @@ import (
 
 	"veridp/internal/core"
 	"veridp/internal/flowtable"
+	"veridp/internal/openflow"
 	"veridp/internal/topo"
 )
 
@@ -48,70 +49,51 @@ func (r UpdateExperimentResult) Percentile(p float64) time.Duration {
 }
 
 // IncrementalUpdate runs the Figure 14 experiment on an Internet2-like
-// environment: strip the target router's rules, build the table, then
-// re-add the rules one at a time through the §4.4 incremental path.
+// environment: strip the target router's rules from the monitor's copy of
+// the configuration, build the table, then re-add the rules one FlowAdd at
+// a time through core.Handle.ApplyFlowMod — the path a live server runs,
+// which takes §4.4's deltas for prefix rules and publishes a snapshot per
+// update.
 func IncrementalUpdate(scale Internet2Scale, targetRouter string) (*UpdateExperimentResult, error) {
 	e, err := Internet2Env(scale, defaultBloom())
 	if err != nil {
 		return nil, err
 	}
+	res, _, err := e.incrementalUpdate(targetRouter)
+	return res, err
+}
+
+// incrementalUpdate is IncrementalUpdate on e. It also returns the
+// monitor's Handle, whose snapshot then describes e's data plane again.
+func (e *Env) incrementalUpdate(targetRouter string) (*UpdateExperimentResult, *core.Handle, error) {
 	target := e.Net.SwitchByName(targetRouter)
 	if target == nil {
-		return nil, fmt.Errorf("sim: unknown router %q", targetRouter)
+		return nil, nil, fmt.Errorf("sim: unknown router %q", targetRouter)
 	}
+	configs := make(map[topo.SwitchID]*flowtable.SwitchConfig, len(e.Ctrl.Logical()))
+	for sw, cfg := range e.Ctrl.Logical() {
+		configs[sw] = cfg.Clone()
+	}
+	rules := configs[target.ID].Table.Rules()
+	configs[target.ID].Table = flowtable.NewTable()
+	h := core.NewHandle((&core.Builder{Net: e.Net, Space: e.Space, Params: e.Params, Configs: configs}).Build())
 
-	// Snapshot and strip the target's rules from both planes.
-	type pending struct {
-		prefix flowtable.Prefix
-		port   topo.PortID
-	}
-	var toAdd []pending
-	for _, r := range e.Ctrl.Logical()[target.ID].Table.Rules() {
-		toAdd = append(toAdd, pending{r.Match.DstPrefix, r.OutPort})
-	}
-	ids := make([]uint64, 0, len(toAdd))
-	for _, r := range e.Ctrl.Logical()[target.ID].Table.Rules() {
-		ids = append(ids, r.ID)
-	}
-	for _, id := range ids {
-		if err := e.Ctrl.RemoveRule(target.ID, id); err != nil {
-			return nil, err
-		}
-	}
-
-	// Updates go through a Handle so each measured duration includes
-	// snapshot publication — the cost a live multi-threaded server pays.
-	h := core.NewHandle(e.Build())
-	tree := flowtable.NewPrefixTree(e.Space, target.Ports())
 	res := &UpdateExperimentResult{Target: targetRouter}
-
-	for i, p := range toAdd {
+	for i, r := range rules {
+		f := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: target.ID, RuleID: r.ID, Rule: *r}
 		start := time.Now()
-		_, delta, err := tree.Insert(p.prefix, p.port)
-		if err != nil {
-			continue // duplicate prefix in the synthetic set
-		}
-		if err := h.ApplyDelta(target.ID, delta); err != nil {
-			return nil, err
+		if err := h.ApplyFlowMod(target.ID, f); err != nil {
+			return nil, nil, err
 		}
 		res.Measurements = append(res.Measurements, UpdateMeasurement{
 			RuleIndex: i,
-			Prefix:    p.prefix,
+			Prefix:    r.Match.DstPrefix,
 			Duration:  time.Since(start),
 		})
-		// Mirror logically so a rebuild comparison stays meaningful.
-		if _, err := e.Ctrl.InstallRule(target.ID, flowtable.Rule{
-			Priority: uint16(p.prefix.Len),
-			Match:    flowtable.Match{DstPrefix: p.prefix},
-			Action:   flowtable.ActOutput,
-			OutPort:  p.port,
-		}); err != nil {
-			return nil, err
-		}
 	}
 
 	start := time.Now()
 	e.Build()
 	res.RebuildTime = time.Since(start)
-	return res, nil
+	return res, h, nil
 }

@@ -119,9 +119,3 @@ func Internet2(hostsPerRouter int) *Network {
 	}
 	return n
 }
-
-// Internet2Subnet returns the /16 behind the idx-th Internet2 router
-// (0-based): 10.(64+idx).0.0/16.
-func Internet2Subnet(idx int) (prefix uint32, plen int) {
-	return uint32(10)<<24 | uint32(64+idx)<<16, 16
-}
