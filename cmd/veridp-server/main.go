@@ -146,14 +146,26 @@ func run(ctx context.Context, logger *log.Logger) error {
 	}()
 	logger.Printf("collecting tag reports on %v (%d workers)", collector.Addr(), collector.Workers())
 
-	// Metrics endpoint.
+	// Metrics endpoint: the Monitor's families, then the collector's ingest
+	// counters. Reading the collector second keeps received ≥ verified +
+	// violated on every scrape, since a batch is counted before it is
+	// verified.
 	if *metricsAddr != "" {
+		ml, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			return err
+		}
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", mon)
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mux}
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			mon.ServeHTTP(w, r)
+			fmt.Fprintf(w, "# TYPE veridp_reports_received_total counter\nveridp_reports_received_total %d\n"+
+				"# TYPE veridp_reports_malformed_total counter\nveridp_reports_malformed_total %d\n",
+				collector.Received(), collector.Malformed())
+		})
+		msrv := &http.Server{Handler: mux}
+		logger.Printf("serving metrics on %v/metrics", ml.Addr())
 		go func() {
-			logger.Printf("serving metrics on %s/metrics", *metricsAddr)
-			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := msrv.Serve(ml); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("metrics server stopped: %v", err)
 			}
 		}()

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +22,8 @@ import (
 	"veridp/internal/controller"
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
+	"veridp/internal/packet"
+	"veridp/internal/report"
 	"veridp/internal/topo"
 )
 
@@ -45,38 +50,53 @@ func (s *logSink) String() string {
 	return s.buf.String()
 }
 
-// serve runs the server on loopback under the given -topo, -mbits and
-// -table-cache until its proxy is listening, then cancels it as SIGINT
-// would, and returns what it logged.
-func serve(t *testing.T, topoName string, mbits int, cache string) string {
+// start runs the server on loopback with the default test flags, and the
+// overrides in flags, until its proxy is listening. stop cancels it as
+// SIGINT would and returns what it logged.
+func start(t *testing.T, flags map[string]string) (logs *logSink, stop func() string) {
 	t.Helper()
-	for name, v := range map[string]string{
-		"topo": topoName, "mbits": strconv.Itoa(mbits), "table-cache": cache,
+	set := map[string]string{
+		"topo": "figure5", "mbits": "16", "table-cache": "",
 		"listen": "127.0.0.1:0", "reports": "127.0.0.1:0", "controller": "127.0.0.1:1",
 		"metrics": "", "workers": "1", "shutdown-timeout": "2s",
-	} {
+	}
+	for name, v := range flags {
+		set[name] = v
+	}
+	for name, v := range set {
 		if err := flag.Set(name, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	logs := &logSink{ready: make(chan struct{})}
+	logs = &logSink{ready: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// chan: buffered 1 — run's result is handed off without rendezvous
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, log.New(logs, "", 0)) }()
 	select {
 	case <-logs.ready:
 	case err := <-done:
+		cancel()
 		t.Fatalf("server exited before serving: %v\n%s", err, logs.String())
 	case <-time.After(10 * time.Second):
+		cancel()
 		t.Fatalf("server not serving after 10s:\n%s", logs.String())
 	}
-	cancel()
-	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("run: %v\n%s", err, logs.String())
+	return logs, func() string {
+		cancel()
+		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("run: %v\n%s", err, logs.String())
+		}
+		return logs.String()
 	}
-	return logs.String()
+}
+
+// serve starts the server under the given -topo, -mbits and -table-cache,
+// stops it at once, and returns what it logged.
+func serve(t *testing.T, topoName string, mbits int, cache string) string {
+	t.Helper()
+	_, stop := start(t, map[string]string{"topo": topoName, "mbits": strconv.Itoa(mbits), "table-cache": cache})
+	return stop()
 }
 
 // routed returns the logical rules of a controller that routed every host
@@ -154,4 +174,74 @@ func TestTableCacheWarmStart(t *testing.T) {
 	if !strings.Contains(logs, warm) {
 		t.Fatalf("-mbits 16 cache under -mbits 32: want %q, got:\n%s", warm, logs)
 	}
+}
+
+// logged returns the first whitespace-delimited word after prefix in the
+// server's log.
+func logged(t *testing.T, logs *logSink, prefix string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(logs.String(), prefix)
+	if !ok {
+		t.Fatalf("no %q in the log:\n%s", prefix, logs.String())
+	}
+	return strings.Fields(rest)[0]
+}
+
+// TestMetricsIngestCounters sends the collector one good report and one
+// garbage datagram, then reads both ingest counters from /metrics.
+func TestMetricsIngestCounters(t *testing.T) {
+	logs, stop := start(t, map[string]string{"metrics": "127.0.0.1:0"})
+	defer stop()
+	url := "http://" + logged(t, logs, "serving metrics on ")
+	reports := logged(t, logs, "collecting tag reports on ")
+	s, err := report.NewSender(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.HandleReport(&packet.Report{Inport: topo.PortKey{Switch: 1, Port: 1}, Outport: topo.PortKey{Switch: 3, Port: 2}, MBits: 16})
+	garbage, err := net.Dial("udp", reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	garbage.Write([]byte("not a report"))
+
+	var got map[string]uint64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		got = scrape(t, url)
+		if got["veridp_reports_received_total"] == 1 && got["veridp_reports_malformed_total"] == 1 {
+			return
+		}
+	}
+	t.Fatalf("received %d, malformed %d; want 1 and 1",
+		got["veridp_reports_received_total"], got["veridp_reports_malformed_total"])
+}
+
+// scrape reads url and parses every sample line as `name value`, failing
+// on any value that is not an unsigned integer.
+func scrape(t *testing.T, url string) map[string]uint64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		n, err := strconv.ParseUint(line[sp+1:], 10, 64)
+		if sp < 0 || err != nil {
+			t.Fatalf("/metrics line %q: not `name <uint>`", line)
+		}
+		out[line[:sp]] = n
+	}
+	return out
 }

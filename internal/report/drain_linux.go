@@ -1,10 +1,10 @@
-// Non-blocking batch drain, Linux fast path. Go's netpoller offers no
-// non-blocking read on a *net.UDPConn — an armed deadline is checked
-// before the receive is even attempted, and a zero deadline parks — so
-// draining an already-queued burst without a park per datagram needs a raw
-// recvfrom with MSG_DONTWAIT. The RawConn keeps the fd refcounted against
-// a concurrent Close; the closure is built once per worker so the hot path
-// allocates nothing.
+// Batch receive, Linux fast path: one recvmmsg(MSG_DONTWAIT) per wakeup
+// fills up to defaultBatch preallocated buffers. It runs inside
+// RawConn.Read, which holds the descriptor's read lock and, when the
+// closure reports an empty queue, parks the goroutine in Go's netpoller
+// until the socket is readable — so an idle worker sleeps, never polls,
+// and a concurrent Close releases it. The closure is built once per worker
+// so the hot path allocates nothing.
 
 //go:build linux
 
@@ -17,74 +17,88 @@ import (
 	"unsafe"
 )
 
-// drainState holds one worker's raw-receive plumbing. buf/n/errno/rsa are
-// the closure's in/out parameters, reused across calls: creating the
-// closure per call would heap-allocate its captures.
-type drainState struct {
-	raw   syscall.RawConn
-	buf   []byte // set before each Control call, cleared after
-	n     int
-	errno syscall.Errno
-	rsa   syscall.RawSockaddrAny
-	fn    func(fd uintptr)
+// mmsghdr is the kernel's struct mmsghdr: a message header and the byte
+// count recvmmsg stores for it (Go pads it to the C layout).
+type mmsghdr struct {
+	hdr syscall.Msghdr
+	len uint32
 }
 
-// init captures the worker conn's RawConn and builds the receive closure.
-func (d *drainState) init(conn *net.UDPConn) error {
+// recvState is one worker's receive plumbing: each header points at its
+// own iovec, buffer and sender sockaddr. n/errno are the closure's
+// results, reused across calls.
+type recvState struct {
+	raw   syscall.RawConn
+	fn    func(fd uintptr) bool
+	n     int
+	errno syscall.Errno
+	hdrs  [defaultBatch]mmsghdr
+	iovs  [defaultBatch]syscall.Iovec
+	addrs [defaultBatch]syscall.RawSockaddrAny
+	bufs  [defaultBatch][maxDatagram]byte
+}
+
+// init wires the headers to the worker's arrays and builds the receive
+// closure on conn's RawConn.
+func (r *recvState) init(conn *net.UDPConn) error {
 	raw, err := conn.SyscallConn()
 	if err != nil {
 		return err
 	}
-	d.raw = raw
-	d.fn = func(fd uintptr) {
-		rsaLen := uint32(unsafe.Sizeof(d.rsa))
-		r1, _, e := syscall.Syscall6(syscall.SYS_RECVFROM,
-			fd,
-			uintptr(unsafe.Pointer(&d.buf[0])),
-			uintptr(len(d.buf)),
-			syscall.MSG_DONTWAIT,
-			uintptr(unsafe.Pointer(&d.rsa)),
-			uintptr(unsafe.Pointer(&rsaLen)))
-		d.n, d.errno = int(r1), e
+	r.raw = raw
+	for i := range r.hdrs {
+		r.iovs[i].Base = &r.bufs[i][0]
+		r.iovs[i].SetLen(maxDatagram)
+		h := &r.hdrs[i].hdr
+		h.Name = (*byte)(unsafe.Pointer(&r.addrs[i]))
+		h.Namelen = syscall.SizeofSockaddrAny
+		h.Iov = &r.iovs[i]
+		h.Iovlen = 1
+	}
+	r.fn = func(fd uintptr) bool {
+		n, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&r.hdrs[0])), defaultBatch,
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // empty queue: park until readable
+		}
+		r.n, r.errno = int(n), e
+		return true
 	}
 	return nil
 }
 
-// drainOne attempts one non-blocking receive into bp. ok=false means the
-// queue is empty (EAGAIN), the socket is closing, or the sender address
-// was unparseable — in every case the caller just ends the batch and
-// returns to its blocking read, which reports any real error.
-//
-//lint:allocfree
-func (w *worker) drainOne(bp *[2048]byte) (int, netip.AddrPort, bool) {
-	d := &w.drain
-	d.buf = bp[:]
-	err := d.raw.Control(d.fn)
-	d.buf = nil
-	if err != nil || d.errno != 0 || d.n < 0 {
-		return 0, netip.AddrPort{}, false
+// read blocks until at least one datagram is queued and returns how many
+// one recvmmsg received.
+func (r *recvState) read() (int, error) {
+	if err := r.raw.Read(r.fn); err != nil {
+		return 0, err
 	}
-	from, ok := sockaddrToAddrPort(&d.rsa)
-	if !ok {
-		return 0, netip.AddrPort{}, false
+	if r.errno != 0 {
+		return 0, r.errno
 	}
-	return d.n, from, true
+	for i := range r.n {
+		r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny // the kernel shrank it to the sender's
+	}
+	return r.n, nil
 }
 
-// sockaddrToAddrPort converts a raw kernel sockaddr to netip form without
-// allocating (the net package's Sockaddr path builds interface values).
-//
-//lint:allocfree
-func sockaddrToAddrPort(rsa *syscall.RawSockaddrAny) (netip.AddrPort, bool) {
-	switch rsa.Addr.Family {
+// datagram returns the i'th received datagram.
+func (r *recvState) datagram(i int) []byte { return r.bufs[i][:r.hdrs[i].len] }
+
+// sender returns the i'th datagram's source address, converted from the
+// raw kernel sockaddr without allocating (the net package's Sockaddr path
+// builds interface values).
+func (r *recvState) sender(i int) netip.AddrPort {
+	switch rsa := &r.addrs[i]; rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port)) // sin_port is big-endian in memory
-		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), uint16(p[0])<<8|uint16(p[1])), true
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), uint16(p[0])<<8|uint16(p[1]))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), uint16(p[0])<<8|uint16(p[1])), true
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), uint16(p[0])<<8|uint16(p[1]))
 	}
-	return netip.AddrPort{}, false
+	return netip.AddrPort{}
 }

@@ -1,7 +1,6 @@
-// Non-blocking drain fallback: platforms without the raw MSG_DONTWAIT
-// path report an always-empty queue, so every batch degenerates to the
-// one datagram the blocking read delivered. Correctness is unchanged —
-// batching is purely an amortization.
+// Receive fallback: platforms without the recvmmsg path make one blocking
+// read per wakeup, so every batch is the one datagram it delivered.
+// Correctness is unchanged — batching is purely an amortization.
 
 //go:build !linux
 
@@ -12,15 +11,32 @@ import (
 	"net/netip"
 )
 
-// drainState has no platform plumbing in the fallback.
-type drainState struct{}
-
-// init is a no-op in the fallback.
-func (d *drainState) init(conn *net.UDPConn) error { return nil }
-
-// drainOne always reports an empty queue.
-//
-//lint:allocfree
-func (w *worker) drainOne(bp *[2048]byte) (int, netip.AddrPort, bool) {
-	return 0, netip.AddrPort{}, false
+// recvState is the fallback's single receive buffer.
+type recvState struct {
+	conn *net.UDPConn
+	buf  [maxDatagram]byte
+	n    int
+	from netip.AddrPort
 }
+
+// init records the socket to read from.
+func (r *recvState) init(conn *net.UDPConn) error {
+	r.conn = conn
+	return nil
+}
+
+// read blocks for one datagram: a batch of one.
+func (r *recvState) read() (int, error) {
+	n, from, err := r.conn.ReadFromUDPAddrPort(r.buf[:])
+	if err != nil {
+		return 0, err
+	}
+	r.n, r.from = n, from
+	return 1, nil
+}
+
+// datagram returns the received datagram.
+func (r *recvState) datagram(int) []byte { return r.buf[:r.n] }
+
+// sender returns the datagram's source address.
+func (r *recvState) sender(int) netip.AddrPort { return r.from }

@@ -6,18 +6,19 @@
 // real sockets in its tests.
 //
 // The collector is a parallel pipeline: a configurable pool of workers
-// (WithWorkers) each loops read→decode→verify — so verification throughput
-// scales with cores, the multi-threaded server §6.4 of the paper
-// anticipates. Each worker owns a dup'd handle onto the shared socket
-// (one file description, many descriptors): the kernel delivers each
-// datagram to exactly one reader, and the private descriptor is what lets
-// a worker follow its blocking read with non-blocking drains without
-// contending on another worker's parked read. A worker wakes on one
-// datagram, drains up to defaultBatch-1 more that are already queued, and
-// hands the whole batch to its verifier in one call — amortizing the
-// snapshot pin, cache probes, and counter updates (see core.VerifyBatch).
-// The happy path allocates nothing per datagram: receive buffers come from
-// a sync.Pool and each worker decodes into a preallocated batch slice.
+// (WithWorkers) each loops receive→decode→verify — so verification
+// throughput scales with cores, the multi-threaded server §6.4 of the
+// paper anticipates. Every worker receives on the one bound socket
+// descriptor. On Linux one recvmmsg(MSG_DONTWAIT) per wakeup takes up to
+// defaultBatch queued datagrams into the worker's preallocated buffers;
+// on an empty queue the worker parks in Go's netpoller. The descriptor's
+// read lock lets one worker at a time receive, so a datagram wakes one
+// parked worker, not all of them, and the others verify their batches
+// meanwhile. The worker hands the whole batch to its verifier in one call,
+// amortizing the snapshot pin, cache probes, and counter updates (see
+// core.VerifyBatch). The happy path allocates nothing per datagram: each
+// worker receives into its own arrays and decodes into a reused batch
+// slice.
 package report
 
 import (
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,9 +68,9 @@ func (s *Sender) HandleReport(r *packet.Report) {
 // Close releases the socket.
 func (s *Sender) Close() error { return s.conn.Close() }
 
-// bufPool recycles receive buffers across workers; 2 KiB comfortably holds
-// the 34-byte report plus any padded or trailing junk a switch might send.
-var bufPool = sync.Pool{New: func() any { return new([2048]byte) }}
+// maxDatagram is one receive buffer's size: 2 KiB comfortably holds the
+// 34-byte report plus any padded or trailing junk a switch might send.
+const maxDatagram = 2048
 
 // shard holds one worker's counters, so the datagram hot path touches no
 // state shared between workers. The pad sizes a shard to one 64-byte
@@ -82,28 +82,24 @@ type shard struct {
 	_         [48]byte
 }
 
-// worker is one goroutine's private state: its dup'd socket handle, its
-// counter shard, and the reusable batch buffers. Nothing here is shared
-// between workers; Close is the only cross-goroutine access (conn.Close
-// is safe concurrently with reads).
+// worker is one goroutine's private state: its counter shard, its receive
+// arrays, and the reused batch of decoded reports. Nothing here is shared
+// between workers.
 type worker struct {
-	conn  *net.UDPConn // dup'd descriptor onto the shared socket
 	shard *shard
 	batch []packet.Report // decoded reports, reused every wakeup
-	drain drainState      // platform non-blocking receive state
+	recv  recvState       // platform batch-receive state
 }
 
 // Collector receives, parses, and dispatches report datagrams with a pool
 // of worker goroutines sharing one UDP socket.
 type Collector struct {
-	conn       *net.UDPConn // the bound socket (worker 0's handle)
+	conn       *net.UDPConn // the one bound socket every worker receives on
 	newHandler func() func([]packet.Report)
 	logs       *netutil.LogLimiter
 
 	workers []worker // fixed after NewCollector
 	shards  []shard  // one per worker; fixed after NewCollector
-
-	closeOnce sync.Once
 }
 
 // Option configures a Collector.
@@ -120,12 +116,12 @@ func WithWorkers(n int) Option {
 	return func(o *collectorOptions) { o.workers = n }
 }
 
-// defaultBatch is the most datagrams a worker drains and verifies per
+// defaultBatch is the most datagrams a worker receives and verifies per
 // wakeup: large enough to amortize the per-wakeup costs under load, small
 // enough that one worker cannot hoard a burst another core could verify.
-// The first read blocks; the rest are non-blocking, so an idle collector
-// still verifies each report the moment it arrives — batching only kicks
-// in when datagrams are queued faster than workers wake.
+// A receive takes whatever is queued, up to the batch, so an idle
+// collector still verifies each report the moment it arrives — batching
+// only kicks in when datagrams are queued faster than workers wake.
 const defaultBatch = 32
 
 // NewCollector listens on addr (e.g. ":48879") and dispatches batches of
@@ -164,43 +160,12 @@ func NewCollector(addr string, newHandler func() func([]packet.Report), logger *
 		w := &c.workers[i]
 		w.shard = &c.shards[i]
 		w.batch = make([]packet.Report, defaultBatch)
-		if i == 0 {
-			w.conn = conn
-		} else {
-			w.conn, err = dupUDPConn(conn)
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("report: dup socket: %w", err)
-			}
-		}
-		if err := w.drain.init(w.conn); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("report: drain setup: %w", err)
+		if err := w.recv.init(conn); err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("report: receive setup: %w", err)
 		}
 	}
 	return c, nil
-}
-
-// dupUDPConn duplicates the listening socket: a new file descriptor onto
-// the same file description, so every handle shares the bound port and the
-// receive queue, but each worker parks its blocking read on its own
-// descriptor.
-func dupUDPConn(c *net.UDPConn) (*net.UDPConn, error) {
-	f, err := c.File()
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() // FilePacketConn dups again; the intermediate can go
-	pc, err := net.FilePacketConn(f)
-	if err != nil {
-		return nil, err
-	}
-	uc, ok := pc.(*net.UDPConn)
-	if !ok {
-		pc.Close()
-		return nil, fmt.Errorf("dup is %T, not *net.UDPConn", pc)
-	}
-	return uc, nil
 }
 
 // Addr returns the bound address (useful with port 0).
@@ -213,8 +178,8 @@ func (c *Collector) Workers() int { return len(c.workers) }
 // is called, draining every worker before returning; it always returns a
 // non-nil error: ctx.Err() after cancellation, net.ErrClosed after Close.
 func (c *Collector) Run(ctx context.Context) error {
-	// Cancellation is delivered by closing every worker's socket handle,
-	// which fails the parked reads.
+	// Cancellation is delivered by closing the socket, which fails the
+	// parked receive and every worker queued behind it.
 	stop := context.AfterFunc(ctx, c.Close)
 	defer stop()
 
@@ -239,27 +204,16 @@ func (c *Collector) Run(ctx context.Context) error {
 	return errors.New("report: collector stopped") // unreachable: workers only exit on error
 }
 
-// worker is one read→drain→decode→dispatch loop. The blocking read parks
-// on the worker's private descriptor; once it delivers, fillBatch pulls
-// whatever else is already queued (up to the batch budget) without
-// blocking, and the whole batch goes to the worker's handler in one call.
-// The loop is allocation-free per datagram: buffers are pooled and the
-// batch slice is reused. Transient read errors back off with a cap (reset
-// on the next datagram) so a wedged socket cannot hot-spin a worker.
+// worker is one receive→decode→dispatch loop; each received batch goes to
+// the worker's handler in one call. Transient receive errors back off with
+// a cap (reset on the next batch) so a wedged socket cannot hot-spin a
+// worker.
 func (c *Collector) worker(ctx context.Context, w *worker) error {
 	handle := c.newHandler() // one handler per worker: single-writer state
 	var bo netutil.Backoff
 	for {
-		bp := bufPool.Get().(*[2048]byte)
-		// The shared socket is the fan-in point for every switch in the
-		// deployment: a read deadline here would tear down ingest for all
-		// of them during any quiet interval, and cancellation already
-		// reaches the parked read through ctx closing the socket. (The
-		// deadline checker does not follow a conn reached through a
-		// parameter's field, so there is no finding here to suppress.)
-		n, from, err := w.conn.ReadFromUDPAddrPort(bp[:])
+		k, err := c.fillBatch(w)
 		if err != nil {
-			bufPool.Put(bp)
 			if errors.Is(err, net.ErrClosed) {
 				return err
 			}
@@ -270,57 +224,43 @@ func (c *Collector) worker(ctx context.Context, w *worker) error {
 			continue
 		}
 		bo.Reset()
-		k := c.fillBatch(w, bp, n, from)
-		bufPool.Put(bp)
 		if k > 0 {
 			handle(w.batch[:k])
 		}
 	}
 }
 
-// fillBatch decodes the just-received datagram and then drains already-
-// queued ones non-blockingly until the batch is full or the queue is
-// empty, decoding each into the worker's reused batch slice. One receive
-// buffer serves the whole batch (each datagram is decoded before the next
-// receive overwrites it), and the received counter is updated once per
-// batch, not once per datagram. Returns the number of well-formed reports
-// in w.batch.
+// fillBatch receives one batch — blocking until at least one datagram is
+// queued — and decodes each datagram into the worker's reused batch slice,
+// counting and rate-limited-logging the malformed ones. The log line names
+// the sender, so a switch sending garbage can be identified; its address
+// is converted only on that cold branch. The received counter is updated
+// once per batch. Returns the number of well-formed reports in w.batch.
+//
+// The shared socket is the fan-in point for every switch in the
+// deployment: a read deadline here would tear down ingest for all of them
+// during any quiet interval, and cancellation already reaches the parked
+// receive through ctx closing the socket.
 //
 //lint:allocfree
-func (c *Collector) fillBatch(w *worker, bp *[2048]byte, n int, from netip.AddrPort) int {
+func (c *Collector) fillBatch(w *worker) (int, error) {
+	n, err := w.recv.read()
+	if err != nil {
+		return 0, err
+	}
 	k := 0
-	for {
-		if c.decodeOne(w.shard, bp[:n], from, &w.batch[k]) {
-			k++
-			if k == len(w.batch) {
-				break
-			}
+	for i := range n {
+		if err := packet.UnmarshalReportInto(w.recv.datagram(i), &w.batch[k]); err != nil {
+			w.shard.malformed.Add(1)
+			c.logs.Printf("report: malformed datagram from %v: %v", w.recv.sender(i), err)
+			continue
 		}
-		var ok bool
-		n, from, ok = w.drainOne(bp)
-		if !ok {
-			break
-		}
+		k++
 	}
 	if k > 0 {
 		w.shard.received.Add(uint64(k))
 	}
-	return k
-}
-
-// decodeOne decodes one datagram into the batch slot, counting and
-// rate-limited-logging the malformed ones — the cold branch the zero-alloc
-// contract exempts. The log line names the sender, so a switch sending
-// garbage can be identified.
-//
-//lint:allocfree
-func (c *Collector) decodeOne(s *shard, b []byte, from netip.AddrPort, r *packet.Report) bool {
-	if err := packet.UnmarshalReportInto(b, r); err != nil {
-		s.malformed.Add(1)
-		c.logs.Printf("report: malformed datagram from %v: %v", from, err)
-		return false
-	}
-	return true
+	return k, nil
 }
 
 // Received returns the count of well-formed reports processed, folded
@@ -344,15 +284,5 @@ func (c *Collector) Malformed() uint64 {
 	return n
 }
 
-// Close stops Run by closing every worker's socket handle (they share one
-// file description but each parks its read on its own descriptor).
-func (c *Collector) Close() {
-	c.closeOnce.Do(func() {
-		for i := range c.workers {
-			if w := &c.workers[i]; w.conn != nil && w.conn != c.conn {
-				w.conn.Close()
-			}
-		}
-		c.conn.Close()
-	})
-}
+// Close stops Run by closing the socket. It is safe to call more than once.
+func (c *Collector) Close() { c.conn.Close() }

@@ -2,7 +2,11 @@ package report
 
 import (
 	"context"
+	"fmt"
+	"log"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,10 +42,11 @@ func perReport(handler func(*packet.Report)) func() func([]packet.Report) {
 	}
 }
 
-// collectorPair spins up a collector and a sender dialed at it.
-func collectorPair(t *testing.T, handler func(*packet.Report)) (*Collector, *Sender) {
+// collectorPair spins up a collector logging to logger (nil for none) and
+// a sender dialed at it.
+func collectorPair(t *testing.T, handler func(*packet.Report), logger *log.Logger) (*Collector, *Sender) {
 	t.Helper()
-	c, err := NewCollector("127.0.0.1:0", perReport(handler), nil)
+	c, err := NewCollector("127.0.0.1:0", perReport(handler), logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestSenderToCollector(t *testing.T) {
 		mu.Lock()
 		got = append(got, *r) // the pointee is reused after the handler returns
 		mu.Unlock()
-	})
+	}, nil)
 	defer c.Close()
 	defer s.Close()
 
@@ -100,9 +105,30 @@ func TestSenderToCollector(t *testing.T) {
 	}
 }
 
+// syncBuffer is a log destination the test can read while workers write.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder // guarded by mu
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCollectorIgnoresGarbage sends garbage and then a valid report: the
+// collector stays alive, counts the garbage, and logs its sender.
 func TestCollectorIgnoresGarbage(t *testing.T) {
 	done := make(chan struct{}, 1)
-	c, s := collectorPair(t, func(*packet.Report) { done <- struct{}{} })
+	var logs syncBuffer
+	c, s := collectorPair(t, func(*packet.Report) { done <- struct{}{} }, log.New(&logs, "", 0))
 	defer c.Close()
 	defer s.Close()
 
@@ -116,20 +142,22 @@ func TestCollectorIgnoresGarbage(t *testing.T) {
 		t.Fatal("collector died on garbage")
 	}
 	// Another worker may deliver the good report before the one holding
-	// the garbage has counted it.
+	// the garbage has counted and logged it.
+	want := "malformed datagram from " + s.conn.LocalAddr().String() + ":"
 	deadline := time.Now().Add(3 * time.Second)
-	for c.Malformed() == 0 {
+	for c.Malformed() == 0 || !strings.Contains(logs.String(), want) {
 		if time.Now().After(deadline) {
-			t.Fatal("malformed counter not incremented")
+			t.Fatalf("malformed count %d, log %q; want 1 and a line with %q", c.Malformed(), logs.String(), want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestCollectorBatchesQueuedDatagrams queues a burst of two full batches
-// in the socket buffer before the (single) worker starts, so the first
-// wakeup must drain a multi-datagram batch on platforms with the
-// non-blocking drain path, and no batch may exceed defaultBatch.
+// in the socket buffer before the (single) worker starts. No batch may
+// exceed defaultBatch, and on Linux, where one recvmmsg takes everything
+// queued up to the batch size, the burst arrives as exactly two full
+// batches.
 func TestCollectorBatchesQueuedDatagrams(t *testing.T) {
 	const n = 2 * defaultBatch
 	var mu sync.Mutex
@@ -173,40 +201,42 @@ func TestCollectorBatchesQueuedDatagrams(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	max := 0
 	for _, b := range batches {
 		if b > defaultBatch {
 			t.Fatalf("batch of %d exceeds defaultBatch (%d)", b, defaultBatch)
 		}
-		if b > max {
-			max = b
-		}
 	}
-	if runtime.GOOS == "linux" && max < 2 {
-		t.Errorf("every batch had 1 report; non-blocking drain never coalesced (batch sizes %v)", batches)
+	if runtime.GOOS == "linux" && !slices.Equal(batches, []int{defaultBatch, defaultBatch}) {
+		t.Errorf("batch sizes %v, want two full batches of %d", batches, defaultBatch)
 	}
 }
 
+// TestCollectorCloseStopsRun closes a running collector. With several
+// workers, one is parked in the netpoller and the rest wait on the
+// descriptor's read lock; Close must release all of them.
 func TestCollectorCloseStopsRun(t *testing.T) {
-	c, err := NewCollector("127.0.0.1:0", perReport(func(*packet.Report) {}), nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c, err := NewCollector("127.0.0.1:0", perReport(func(*packet.Report) {}), nil, WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errCh := make(chan error, 1)
+			go func() { errCh <- c.Run(context.Background()) }()
+			time.Sleep(20 * time.Millisecond)
+			c.Close()
+			select {
+			case err := <-errCh:
+				if err == nil {
+					t.Fatal("Run returned nil after Close")
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("Run did not stop after Close")
+			}
+			c.Close() // idempotent
+		})
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.Run(context.Background()) }()
-	time.Sleep(20 * time.Millisecond)
-	c.Close()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("Run returned nil after Close")
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("Run did not stop after Close")
-	}
-	c.Close() // idempotent
 }
-
 func TestSenderBadAddress(t *testing.T) {
 	if _, err := NewSender("this is not an address"); err == nil {
 		t.Fatal("garbage address accepted")

@@ -51,10 +51,6 @@ func (p FNRPoint) Relative() float64 {
 // and restored to the original params afterwards.
 func FalseNegativeSweep(e *Env, sizes []int, trials int, seed int64) ([]FNRPoint, error) {
 	pt := e.Table()
-	witnesses := deliveredWitnesses(e)
-	if len(witnesses) == 0 {
-		return nil, fmt.Errorf("sim: no delivered witness paths in %s", e.Name)
-	}
 	orig := e.Params
 	defer func() {
 		e.Fabric.SetParams(orig)
@@ -69,6 +65,12 @@ func FalseNegativeSweep(e *Env, sizes []int, trials int, seed int64) ([]FNRPoint
 		}
 		e.Fabric.SetParams(params)
 		pt.SetParams(params)
+		// SetParams re-tags into new path entries: witnesses drawn before
+		// it would still carry the previous size's tags.
+		witnesses := deliveredWitnesses(e)
+		if len(witnesses) == 0 {
+			return nil, fmt.Errorf("sim: no delivered witness paths in %s", e.Name)
+		}
 		rng := NewRNG(seed + int64(m))
 		point := FNRPoint{MBits: m}
 
