@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Packages with Fuzz* targets and committed seed corpora.
-FUZZ_PKGS = . ./internal/flowtable ./internal/openflow ./internal/packet ./internal/pcap ./internal/storm
+FUZZ_PKGS = . ./internal/core ./internal/openflow ./internal/packet ./internal/pcap ./internal/storm
 
 # `make storm` settings: one seeded fuzzing campaign against a live
 # deployment (see internal/storm). CI runs storm-smoke as a gate.

@@ -10,13 +10,15 @@
 //	Figure 12→ BenchmarkFalseNegativeSweep (FNR as custom metrics)
 //	Table 3  → BenchmarkLocalization / BenchmarkLocalizationStrawman
 //	Figure 13→ BenchmarkVerify* (µs per tag report)
-//	Figure 14→ BenchmarkIncrementalUpdate (per-rule path-table update)
+//	Figure 14→ BenchmarkIncrementalUpdate (per-rule path-table update);
+//	           BenchmarkLiveInstall installs whole networks rule by rule
 //	Table 4  → BenchmarkPipeline* (software pipeline stages on real
 //	           packets) and BenchmarkHWPipeModel (FPGA cycle model)
 package veridp
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +30,7 @@ import (
 	"veridp/internal/faults"
 	"veridp/internal/flowtable"
 	"veridp/internal/header"
+	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/sim"
 	"veridp/internal/topo"
@@ -362,6 +365,73 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ReportMetric(float64(res.Percentile(0.99))/1e6, "ms/rule-p99")
 		b.ReportMetric(float64(res.RebuildTime)/1e6, "ms/full-rebuild")
 	}
+}
+
+// BenchmarkLiveInstall measures the rule-update side end to end: every
+// rule of a network arrives as a FlowAdd through core.Handle.ApplyFlowMod,
+// from empty tables, as a cold-started verification server sees them
+// behind the proxy. It reports the per-FlowMod latency, the whole install
+// and, for comparison, one from-scratch build over the full rule set.
+func BenchmarkLiveInstall(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		env  func() (*sim.Env, error)
+	}{
+		{"ft6", func() (*sim.Env, error) { return sim.FatTreeEnv(6, bloom.DefaultParams) }},
+		{"internet2", func() (*sim.Env, error) { return sim.Internet2Env(sim.Internet2Default, bloom.DefaultParams) }},
+		{"stanford", func() (*sim.Env, error) { return sim.StanfordEnv(sim.StanfordDefault, bloom.DefaultParams) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e, err := tc.env()
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := time.Now()
+			e.Build()
+			rebuild := time.Since(start)
+			var lat []time.Duration
+			var install time.Duration
+			for i := 0; i < b.N; i++ {
+				lat, install = liveInstall(b, e)
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			us := func(p float64) float64 { return float64(lat[int(p*float64(len(lat)-1))]) / 1e3 }
+			b.ReportMetric(us(0.5), "us/flowmod-p50")
+			b.ReportMetric(us(0.99), "us/flowmod-p99")
+			b.ReportMetric(float64(install)/1e6, "ms/install")
+			b.ReportMetric(float64(rebuild)/1e6, "ms/full-rebuild")
+		})
+	}
+}
+
+// liveInstall clones e's configurations with empty tables, builds a
+// Handle over them, and FlowAdds every rule of e back, switch by switch in
+// ID order. It returns each FlowMod's latency and the whole install's.
+func liveInstall(b *testing.B, e *sim.Env) ([]time.Duration, time.Duration) {
+	b.StopTimer()
+	logical := e.Ctrl.Logical()
+	configs := make(map[topo.SwitchID]*flowtable.SwitchConfig, len(logical))
+	var mods []*openflow.FlowMod
+	for _, sw := range e.Net.Switches() {
+		cfg := logical[sw.ID].Clone()
+		for _, r := range cfg.Table.Rules() {
+			mods = append(mods, &openflow.FlowMod{Command: openflow.FlowAdd, Switch: sw.ID, RuleID: r.ID, Rule: *r})
+		}
+		cfg.Table = flowtable.NewTable()
+		configs[sw.ID] = cfg
+	}
+	h := core.NewHandle((&core.Builder{Net: e.Net, Space: header.NewSpace(), Params: e.Params, Configs: configs}).Build())
+	lat := make([]time.Duration, len(mods))
+	b.StartTimer()
+	start := time.Now()
+	for i, f := range mods {
+		t0 := time.Now()
+		if err := h.ApplyFlowMod(f.Switch, f); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(t0)
+	}
+	return lat, time.Since(start)
 }
 
 // --- Table 4: data-plane pipeline overhead -------------------------------

@@ -3,8 +3,13 @@
 // an all-pairs ping mesh, and print the verification and localization
 // summary. It is the quickest way to watch VeriDP catch an inconsistency.
 //
+// With -dump it stops after the path table instead: the summary line, how
+// long Algorithm 2 took, and every path entry — the operator-facing view
+// of what the control plane believes about every edge-to-edge path.
+//
 //	veridp-sim -topo fattree4 -fault wrongport
 //	veridp-sim -topo stanford -fault blackhole -seed 7
+//	veridp-sim -topo figure5 -dump
 package main
 
 import (
@@ -17,6 +22,7 @@ import (
 	"time"
 
 	"veridp/internal/bloom"
+	"veridp/internal/core"
 	"veridp/internal/dataplane"
 	"veridp/internal/faults"
 	"veridp/internal/netfile"
@@ -34,6 +40,7 @@ var (
 	mbits    = flag.Int("mbits", 16, "Bloom tag size in bits")
 	verbose  = flag.Bool("v", false, "print every violation")
 	pcapPath = flag.String("pcap", "", "capture injected and delivered frames to a pcap file")
+	dump     = flag.Bool("dump", false, "print the build time and every path entry after the summary line, then exit")
 )
 
 func main() {
@@ -44,6 +51,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "veridp-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// portName renders a switch port as name:port.
+func portName(n *topo.Network, pk topo.PortKey) string {
+	if sw := n.Switch(pk.Switch); sw != nil {
+		return fmt.Sprintf("%s:%s", sw.Name, pk.Port)
+	}
+	return pk.String()
 }
 
 func run(ctx context.Context) error {
@@ -107,10 +122,19 @@ func run(ctx context.Context) error {
 			return err
 		}
 	}
+	start := time.Now()
 	pt := e.Table()
+	built := time.Since(start)
 	st := pt.Stats()
 	fmt.Printf("topology %s: %d switches, %d hosts; path table: %d pairs, %d paths (avg len %.2f)\n",
 		e.Name, e.Net.NumSwitches(), len(e.Net.Hosts()), st.Pairs, st.Paths, st.AvgPathLength)
+	if *dump {
+		fmt.Printf("built in %v\n", built)
+		pt.Entries(func(in, out topo.PortKey, pe *core.PathEntry) {
+			fmt.Printf("%s → %s  tag=%v  |headers|=%.3g\n  %v\n", portName(e.Net, in), portName(e.Net, out), pe.Tag, e.Space.T.SatCount(pe.Headers), pe.Path)
+		})
+		return nil
+	}
 
 	rng := sim.NewRNG(*seed)
 	var injected *faults.Injected

@@ -271,6 +271,12 @@ func (t *Table) Xor(a, b Ref) Ref {
 // Diff returns a ∧ ¬b (set difference), the operation path-entry update
 // (§4.4) uses to shrink header sets when a more-specific rule is added.
 func (t *Table) Diff(a, b Ref) Ref {
+	switch {
+	case a == b || a == False:
+		return False
+	case b == False:
+		return a
+	}
 	return t.And(a, t.Not(b))
 }
 

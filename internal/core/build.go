@@ -36,8 +36,9 @@ func (b *Builder) Build() *PathTable {
 // retraverse re-runs Algorithm 2 into a new table over pt's network,
 // configurations and header space. Only switch sw's transfer functions are
 // recomputed from its configuration: every other switch's rules are the
-// ones its cached functions were computed (or §4.4-patched) for. The new
-// table takes over pt's transfer cache, so pt must not be updated again.
+// ones its cached functions were computed (or incrementally updated)
+// for. The new table takes over pt's transfer cache, so pt must not be
+// updated again.
 func (pt *PathTable) retraverse(sw topo.SwitchID) *PathTable {
 	n := newPathTable(pt.Net, pt.Space, pt.Params, pt.Configs)
 	for s, tf := range pt.transfer {
@@ -51,30 +52,27 @@ func (pt *PathTable) retraverse(sw topo.SwitchID) *PathTable {
 // traverseAll runs Algorithm 2's search from every edge port.
 func (pt *PathTable) traverseAll() {
 	for _, inport := range pt.Net.EdgePorts() {
+		a := &arrival{Inport: inport, At: inport.Port, Headers: pt.Space.All()}
+		pt.addArrival(inport.Switch, a)
 		visited := map[topo.PortKey]bool{inport: true}
-		pt.traverse(inport, inport, pt.Space.All(), nil, 0, visited)
+		pt.forward(inport.Switch, a, pt.Space.All(), visited)
 	}
 }
 
-// traverse is Algorithm 2's recursive search, shared by initial
-// construction and §4.4's incremental re-traversal. visited guards against
-// control-plane loops (a port entered twice ends the branch).
-func (pt *PathTable) traverse(inport, at topo.PortKey, h bdd.Ref, prefix topo.Path, tag bloom.Tag, visited map[topo.PortKey]bool) {
-	s := at.Switch
-	x := at.Port
-	pt.addArrival(s, &arrival{
-		Inport:  inport,
-		At:      x,
-		Headers: h,
-		Prefix:  append(topo.Path(nil), prefix...),
-		Tag:     tag,
-	})
-
+// forward is Algorithm 2's recursive search, shared by initial
+// construction and the incremental re-traversal: h, a part of arrival a's
+// headers at switch s, leaves s through every transfer entry of a's input
+// port. visited guards against control-plane loops (a port entered twice
+// ends the branch).
+func (pt *PathTable) forward(s topo.SwitchID, a *arrival, h bdd.Ref, visited map[topo.PortKey]bool) {
 	tp := pt.transfer[s]
-	sw := pt.Net.Switch(s)
-	outs := append(sw.Ports(), topo.DropPort)
-	for _, y := range outs {
-		for _, te := range tp[flowtable.PortPair{In: x, Out: y}] {
+	n := pt.Net.Switch(s).NumPorts
+	for i := 0; i <= n; i++ {
+		y := topo.PortID(i + 1) // the ports, then ⊥
+		if i == n {
+			y = topo.DropPort
+		}
+		for _, te := range tp[flowtable.PortPair{In: a.At, Out: y}] {
 			h2 := pt.Space.T.And(h, te.Guard)
 			if h2 == bdd.False {
 				continue
@@ -82,23 +80,27 @@ func (pt *PathTable) traverse(inport, at topo.PortKey, h bdd.Ref, prefix topo.Pa
 			// Rewrites apply as the packet leaves: the continuation (and
 			// any recorded path entry) carries the transformed set.
 			h3 := pt.Space.Transform(h2, te.Rewrite)
-			pt.extend(inport, at, y, h3, prefix, tag, visited)
+			pt.extend(s, a, y, h3, visited)
+			if h2 == h {
+				return // the entries of one input port partition the headers
+			}
 		}
 	}
 }
 
-// extend pushes a header set out of one port: it appends the hop, updates
-// the tag, and either records a finished path (edge port, ⊥, or dead end)
-// or recurses into the next switch.
-func (pt *PathTable) extend(inport, at topo.PortKey, y topo.PortID, h bdd.Ref, prefix topo.Path, tag bloom.Tag, visited map[topo.PortKey]bool) {
-	s := at.Switch
-	hop := topo.Hop{In: at.Port, Switch: s, Out: y}
-	tag2 := tag.Union(pt.Params.Hash(hop.Bytes()))
-	path2 := append(prefix, hop)
+// extend pushes h out of port y of switch s, where it arrived as part of
+// a: it appends the hop, updates the tag, and either records a finished
+// path (edge port, ⊥, or dead end) or recurses into the next switch. The
+// arrival there is a's child through y, merged into when it exists — so a
+// re-traversal grows the records a build made instead of adding more.
+func (pt *PathTable) extend(s topo.SwitchID, a *arrival, y topo.PortID, h bdd.Ref, visited map[topo.PortKey]bool) {
+	hop := topo.Hop{In: a.At, Switch: s, Out: y}
+	tag := a.Tag.Union(pt.Params.Hash(hop.Bytes()))
+	path := append(a.Prefix[:len(a.Prefix):len(a.Prefix)], hop)
 	outKey := topo.PortKey{Switch: s, Port: y}
 
 	if y == topo.DropPort || pt.Net.IsEdgePort(outKey) {
-		pt.addPath(inport, outKey, h, path2, tag2)
+		pt.addPath(a.Inport, outKey, h, path, tag)
 		return
 	}
 	next, ok := pt.Net.Peer(outKey)
@@ -106,13 +108,25 @@ func (pt *PathTable) extend(inport, at topo.PortKey, y topo.PortID, h bdd.Ref, p
 		// Output to a port with nothing attached: the control plane says
 		// these packets leave the network unobserved. Record the path so
 		// operators can audit it; no report will ever match it.
-		pt.addPath(inport, outKey, h, path2, tag2)
+		pt.addPath(a.Inport, outKey, h, path, tag)
 		return
 	}
 	if visited[next] {
 		return // control-plane loop: cut the branch (§6.1)
 	}
 	visited[next] = true
-	pt.traverse(inport, next, h, path2, tag2, visited)
+	c := a.child(y)
+	switch {
+	case c == nil:
+		c = &arrival{Inport: a.Inport, At: next.Port, Headers: h, Prefix: path, Tag: tag}
+		a.next = append(a.next, c)
+		pt.addArrival(next.Switch, c)
+	case c.deleted:
+		c.deleted, c.Headers = false, h
+		pt.nDead--
+	default:
+		c.Headers = pt.Space.T.Or(c.Headers, h)
+	}
+	pt.forward(next.Switch, c, h, visited)
 	delete(visited, next)
 }

@@ -11,6 +11,7 @@ import (
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
 	"veridp/internal/header"
+	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/topo"
 )
@@ -415,12 +416,12 @@ func snapshot(pt *PathTable) map[string]bdd.Ref {
 	return out
 }
 
-// TestIncrementalMatchesScratch drives random prefix-rule adds/deletes
-// through ApplyDelta and checks the table equals a scratch rebuild — the
-// §4.4 correctness claim.
+// TestIncrementalMatchesScratch drives random destination-prefix adds and
+// deletes at any priority through Handle.ApplyFlowMod and checks the table
+// equals a scratch rebuild — the §4.4 correctness claim — with every
+// FlowMod taken by its delta or by a rebuild that bounds the header space.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	n := topo.Linear(4, 2)
-	space := header.NewSpace()
 	rng := rand.New(rand.NewSource(23))
 
 	// Start from connectivity routes compiled by a controller.
@@ -429,22 +430,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	if err := c.RouteAllHosts(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Mirror every switch's rules into a PrefixTree under their rule IDs.
-	trees := make(map[topo.SwitchID]*flowtable.PrefixTree)
-	for _, sw := range n.Switches() {
-		trees[sw.ID] = flowtable.NewPrefixTree(space, sw.Ports())
-		for _, r := range c.Logical()[sw.ID].Table.Rules() {
-			if _, err := trees[sw.ID].Insert(r.ID, r.Match.DstPrefix, r.OutPort); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	build := func() *PathTable {
-		return (&Builder{Net: n, Space: space, Params: bloom.DefaultParams, Configs: c.Logical()}).Build()
-	}
-	pt := build()
+	h := NewHandle((&Builder{Net: n, Space: header.NewSpace(), Params: bloom.DefaultParams, Configs: c.Logical()}).Build())
 
 	type liveRule struct {
 		sw topo.SwitchID
@@ -452,54 +438,38 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 	var liveRules []liveRule
 	sws := n.Switches()
-	for step := 0; step < 60; step++ {
+	for step, id := 0, uint64(1<<40); step < 60; step, id = step+1, id+1 {
+		fm := &openflow.FlowMod{Command: openflow.FlowDelete}
 		if len(liveRules) == 0 || rng.Intn(3) != 0 {
-			// Add a random prefix rule to the logical table, so scratch
-			// rebuilds agree, and to the tree under the same ID.
+			// Add a random prefix rule; the Handle edits the controller's
+			// logical table, so scratch rebuilds agree.
 			sw := sws[rng.Intn(len(sws))]
 			ports := sw.Ports()
-			port := ports[rng.Intn(len(ports))]
 			pfx := flowtable.Prefix{IP: uint32(10)<<24 | rng.Uint32()&0x00ffffff, Len: 10 + rng.Intn(20)}.Canonical()
-			id, err := c.InstallRule(sw.ID, flowtable.Rule{
-				Priority: uint16(pfx.Len),
+			fm = &openflow.FlowMod{Command: openflow.FlowAdd, Switch: sw.ID, RuleID: id, Rule: flowtable.Rule{
+				Priority: uint16(rng.Intn(64)),
 				Match:    flowtable.Match{DstPrefix: pfx},
 				Action:   flowtable.ActOutput,
-				OutPort:  port,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			delta, err := trees[sw.ID].Insert(id, pfx, port)
-			if err != nil { // duplicate prefix
-				if err := c.RemoveRule(sw.ID, id); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			if err := pt.ApplyDelta(sw.ID, delta); err != nil {
-				t.Fatal(err)
-			}
+				OutPort:  ports[rng.Intn(len(ports))],
+			}}
 			liveRules = append(liveRules, liveRule{sw.ID, id})
 		} else {
 			// Remove a random previously-added rule.
 			i := rng.Intn(len(liveRules))
-			lr := liveRules[i]
-			delta, err := trees[lr.sw].Remove(lr.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.RemoveRule(lr.sw, lr.id); err != nil {
-				t.Fatal(err)
-			}
-			if err := pt.ApplyDelta(lr.sw, delta); err != nil {
-				t.Fatal(err)
-			}
+			fm.Switch, fm.RuleID = liveRules[i].sw, liveRules[i].id
 			liveRules = append(liveRules[:i], liveRules[i+1:]...)
 		}
+		if err := h.ApplyFlowMod(fm.Switch, fm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := h.FlowModPaths(); p.Rerun != 0 {
+		t.Fatalf("prefix rules re-ran Algorithm 2: %+v", p)
 	}
 
-	pt.Compact()
-	fresh := build()
+	h.Compact()
+	pt := h.Table()
+	fresh := (&Builder{Net: n, Space: pt.Space, Params: pt.Params, Configs: c.Logical()}).Build()
 	got, want := snapshot(pt), snapshot(fresh)
 	for k, h := range want {
 		if got[k] != h {

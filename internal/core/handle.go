@@ -6,8 +6,8 @@
 // of goroutines verify tag reports lock-free against the snapshot they
 // loaded, while rule updates mutate the private table and swap in a new
 // snapshot when they finish. A verdict therefore always reflects a fully
-// applied update — never the half-way state between ApplyDelta's shrink and
-// re-traversal steps.
+// applied update — never the half-way state between an incremental
+// update's shrink and re-traversal steps.
 //
 // Why BDD refs stay valid across snapshots: bdd.Table is append-only — a
 // node is never mutated or freed once created (see the bdd package
@@ -24,8 +24,8 @@
 // path entry with the writer. Three rules keep that sharing safe, all
 // enforced on the writer side (pathtable.go, PathTable.setPair):
 //
-//  1. A stored PathEntry is never written. §4.4's shrink, addPath's merge
-//     and SetParams' re-tag store a new entry instead.
+//  1. A stored PathEntry is never written. The incremental shrink,
+//     addPath's merge and SetParams' re-tag store a new entry instead.
 //  2. A stored per-pair slice is never written below its length. Changing
 //     or dropping an element means a fresh slice; appending past the
 //     length is allowed, because no holder of the shorter slice header can
@@ -43,8 +43,8 @@
 // epoch per shard, and publication mints a fresh one only for the shards
 // written since the previous publication; the rest keep theirs, so cached
 // verdicts for reports exiting through untouched shards stay valid. A
-// table replaced wholesale (Swap returning a different table, or the
-// rebuild fallback of ApplyFlowMod) and a SetParams re-tag renew all of
+// table replaced wholesale (Swap returning a different table, or
+// ApplyFlowMod's re-run and rebuild) and a SetParams re-tag renew all of
 // them.
 
 package core
@@ -55,7 +55,6 @@ import (
 
 	"veridp/internal/bdd"
 	"veridp/internal/bloom"
-	"veridp/internal/flowtable"
 	"veridp/internal/header"
 	"veridp/internal/packet"
 	"veridp/internal/topo"
@@ -119,16 +118,21 @@ func (s *Snapshot) Verify(r *packet.Report) Verdict {
 
 // Handle publishes a PathTable for concurrent use: readers load the current
 // Snapshot atomically and never block, while the update methods
-// (ApplyFlowMod, ApplyDelta, SetParams, Compact, Swap) serialize on an
-// internal mutex, change the writer's table, and publish it as the next
-// Snapshot.
+// (ApplyFlowMod, SetParams, Compact, Swap) serialize on an internal mutex,
+// change the writer's table, and publish it as the next Snapshot.
 type Handle struct {
 	mu   sync.Mutex
 	work *PathTable // guarded by mu
-	// prefix is ApplyFlowMod's §4.4 state for work, derived on first use;
-	// nil after any change it did not see (Swap, ApplyDelta).
-	prefix *prefixState // guarded by mu
-	cur    atomic.Pointer[Snapshot]
+	// nRewrites counts the rules of work's configurations that rewrite
+	// headers, and bddBase is work's header-space size at its last
+	// from-scratch build. ApplyFlowMod derives both on first use and keeps
+	// them; bddBase 0 marks them underived (after Swap).
+	nRewrites int // guarded by mu
+	bddBase   int // guarded by mu
+	cur       atomic.Pointer[Snapshot]
+	// deltas, reruns and rebuilds count ApplyFlowMod's FlowMods by path
+	// (see FlowModPaths).
+	deltas, reruns, rebuilds atomic.Uint64
 }
 
 // NewHandle wraps pt and publishes its first snapshot. The Handle owns pt
@@ -171,25 +175,6 @@ func (h *Handle) publish(renew bool) {
 //lint:allocfree
 func (h *Handle) Current() *Snapshot { return h.cur.Load() }
 
-// ApplyDelta applies a §4.4 incremental update and publishes the result as
-// one atomic snapshot swap: concurrent verifications see either the table
-// before the rule change or after it, never in between. A rejected delta
-// changes nothing and publishes nothing. The delta is the caller's: the
-// Handle's own prefix trees no longer describe the table, and ApplyFlowMod
-// re-derives them from the logical configurations. Live updates go through
-// ApplyFlowMod, which derives its deltas itself; ApplyDelta is the hook
-// that lets the handle and race tests publish one exact delta.
-func (h *Handle) ApplyDelta(sw topo.SwitchID, d flowtable.Delta) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.work.ApplyDelta(sw, d); err != nil {
-		return err
-	}
-	h.prefix = nil
-	h.publish(false)
-	return nil
-}
-
 // SetParams re-derives every tag under a new Bloom configuration and
 // publishes the result, renewing every shard's epoch.
 func (h *Handle) SetParams(p bloom.Params) {
@@ -216,7 +201,7 @@ func (h *Handle) Swap(build func(old *PathTable) *PathTable) {
 	defer h.mu.Unlock()
 	old := h.work
 	h.work = build(old)
-	h.prefix = nil
+	h.bddBase = 0
 	h.publish(h.work != old)
 }
 

@@ -1,6 +1,6 @@
 //go:build race
 
-// Race-gated storm: ApplyDelta, SetParams, Compact and Swap all work on
+// Race-gated storm: ApplyFlowMod, SetParams, Compact and Swap all work on
 // the one table whose shard maps, slices and entries every published
 // snapshot shares, while readers verify and walk entries lock-free. The
 // plain test suite covers each update method's correctness single-threaded
@@ -16,13 +16,12 @@ import (
 
 	"veridp/internal/bdd"
 	"veridp/internal/bloom"
-	"veridp/internal/flowtable"
 	"veridp/internal/packet"
 	"veridp/internal/topo"
 )
 
 // TestHandleCompactSwapStorm runs four kinds of writer against
-// pinned-snapshot readers: one flips the host route through ApplyDelta,
+// pinned-snapshot readers: one flips the host route through ApplyFlowMod,
 // and a maintenance loop calls Compact, Swap with a republish-unchanged
 // build, and SetParams with the parameters already in force (every entry
 // is re-stored, no tag moves). The reader invariant is the same as
@@ -35,14 +34,7 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 	h := NewHandle(d.pt)
 
 	tagA := d.tagFor(t, h.Current()) // via S2
-	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	delta, err := d.tree.Insert(hostRule, host32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
+	d.move(t, h, 4)
 	tagB := d.tagFor(t, h.Current()) // direct S1→S3
 	if tagA == tagB {
 		t.Fatal("both routes fold the same tag; the storm test needs them distinct")
@@ -96,7 +88,7 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 		}()
 	}
 
-	// Maintenance writers serialize with ApplyDelta on h.mu, so the reader
+	// Maintenance writers serialize with ApplyFlowMod on h.mu, so the reader
 	// invariant must hold across every interleaving. The flips go on until
 	// the maintenance rounds are done, so neither side can finish before
 	// the other was scheduled.
@@ -119,19 +111,8 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 			busy = false
 		default:
 		}
-		delta, err := d.tree.Remove(hostRule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
-		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
+		d.move(t, h, 3)
+		d.move(t, h, 4)
 	}
 	close(stop)
 	wg.Wait()
@@ -150,8 +131,8 @@ func TestHandleCompactSwapStorm(t *testing.T) {
 // against concurrent snapshot publications. Each reader pins a snapshot,
 // verifies through its own cache, and differentially checks the cached
 // verdict against the uncached one on the same pinned snapshot — while
-// the main goroutine churns ApplyDelta/Compact/SetParams, renewing the
-// flow's shard epoch (ApplyDelta) or every epoch (SetParams) as fast as
+// the main goroutine churns ApplyFlowMod/Compact/SetParams, renewing the
+// flow's shard epoch (ApplyFlowMod) or every epoch (SetParams) as fast as
 // it can. Under -race this also proves the epoch stamp's
 // happens-before edge: a cache is single-writer, but the snapshots (and
 // epochs) it keys on are published across goroutines.
@@ -160,14 +141,7 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 	h := NewHandle(d.pt)
 
 	tagA := d.tagFor(t, h.Current())
-	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	delta, err := d.tree.Insert(hostRule, host32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
+	d.move(t, h, 4)
 	tagB := d.tagFor(t, h.Current())
 	rA := packet.Report{Inport: d.pair[0], Outport: d.pair[1], Header: d.hdr, Tag: tagA}
 	rB := packet.Report{Inport: d.pair[0], Outport: d.pair[1], Header: d.hdr, Tag: tagB}
@@ -205,19 +179,8 @@ func TestVerdictCacheConcurrentPublish(t *testing.T) {
 
 	const flips = 100
 	for i := 0; i < flips; i++ {
-		delta, err := d.tree.Remove(hostRule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
-		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
+		d.move(t, h, 3)
+		d.move(t, h, 4)
 		h.Compact()
 		h.SetParams(bloom.DefaultParams) // re-stores every entry, renews every epoch
 	}

@@ -13,19 +13,20 @@ import (
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
 	"veridp/internal/header"
+	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/topo"
 )
 
-// diamondEnv builds Figure 5's topology with pure prefix routing so §4.4
-// deltas apply: traffic to 10.0.2.0/24 rides S1→S2→S3, and a /32 for H3
-// toggled on S1 re-routes H3's traffic onto the direct S1→S3 link. Both
-// routes share the ⟨S1.1, S3.2⟩ pair but fold different tags, which is
-// exactly the shape a torn update would confuse.
+// diamondEnv builds Figure 5's topology with prefix routing: traffic to
+// 10.0.2.0/24 rides S1→S2→S3, and so does H3's /32 on S1 until a FlowModify
+// moves it (move) onto the direct S1→S3 link. Both routes share the
+// ⟨S1.1, S3.2⟩ pair but fold different tags, which is exactly the shape a
+// torn update would confuse.
 type diamondEnv struct {
 	pt   *PathTable
-	tree *flowtable.PrefixTree
 	s1   topo.SwitchID
+	host uint64 // the rule ID of H3's /32 on S1
 	hdr  header.Header
 	pair [2]topo.PortKey // inport, outport of the H1→H3 flow
 }
@@ -40,6 +41,7 @@ func newDiamondEnv(t *testing.T) *diamondEnv {
 	s2 := n.SwitchByName("S2").ID
 	s3 := n.SwitchByName("S3").ID
 	dst24 := flowtable.Prefix{IP: 0x0a000200, Len: 24}
+	var host uint64
 	for _, in := range []struct {
 		sw topo.SwitchID
 		r  flowtable.Rule
@@ -47,27 +49,39 @@ func newDiamondEnv(t *testing.T) *diamondEnv {
 		{s1, flowtable.Rule{Priority: 24, Match: flowtable.Match{DstPrefix: dst24}, Action: flowtable.ActOutput, OutPort: 3}},
 		{s2, flowtable.Rule{Priority: 24, Match: flowtable.Match{DstPrefix: dst24}, Action: flowtable.ActOutput, OutPort: 2}},
 		{s3, flowtable.Rule{Priority: 24, Match: flowtable.Match{DstPrefix: dst24}, Action: flowtable.ActOutput, OutPort: 2}},
+		{s1, hostRoute(3)},
 	} {
-		if _, err := c.InstallRule(in.sw, in.r); err != nil {
+		id, err := c.InstallRule(in.sw, in.r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		host = id // the last one installed is H3's /32
 	}
 	pt := (&Builder{Net: n, Space: space, Params: bloom.DefaultParams, Configs: c.Logical()}).Build()
-	tree := flowtable.NewPrefixTree(space, n.SwitchByName("S1").Ports())
-	if _, err := tree.Insert(1, dst24, 3); err != nil { // mirror S1's build-time state
-		t.Fatal(err)
-	}
 	return &diamondEnv{
 		pt:   pt,
-		tree: tree,
 		s1:   s1,
+		host: host,
 		hdr:  header.Header{SrcIP: 0x0a000101, DstIP: 0x0a000201, Proto: header.ProtoTCP, DstPort: 80},
 		pair: [2]topo.PortKey{{Switch: s1, Port: 1}, {Switch: s3, Port: 2}},
 	}
 }
 
-// hostRule is the tree's rule ID for the H3 /32 the tests toggle on S1.
-const hostRule = 100
+// hostRoute is S1's rule for H3's /32, out of port 3 (towards S2) or 4
+// (the direct link to S3).
+func hostRoute(port topo.PortID) flowtable.Rule {
+	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
+	return flowtable.Rule{Priority: 32, Match: flowtable.Match{DstPrefix: host32}, Action: flowtable.ActOutput, OutPort: port}
+}
+
+// move sends H3's /32 on S1 out of port through h.ApplyFlowMod.
+func (d *diamondEnv) move(t testing.TB, h *Handle, port topo.PortID) {
+	t.Helper()
+	f := &openflow.FlowMod{Command: openflow.FlowModify, Switch: d.s1, RuleID: d.host, Rule: hostRoute(port)}
+	if err := h.ApplyFlowMod(d.s1, f); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // tagFor finds the tag of the pair's entry admitting the flow's header in
 // the current snapshot.
@@ -85,7 +99,7 @@ func (d *diamondEnv) tagFor(t *testing.T, s *Snapshot) bloom.Tag {
 // TestHandleStormOneVerdict is the torn-update regression test: reader
 // goroutines verify two reports — one valid before a rule change, one valid
 // after — against single pinned snapshots while a writer flips the rule
-// through ApplyDelta as fast as it can. Every snapshot must satisfy
+// through ApplyFlowMod as fast as it can. Every snapshot must satisfy
 // "exactly one of the two reports verifies, the other fails as a tag
 // mismatch": a half-applied update (shrink done, re-traversal pending)
 // would break it. Run under -race this also proves the publication's
@@ -95,14 +109,7 @@ func TestHandleStormOneVerdict(t *testing.T) {
 	h := NewHandle(d.pt)
 
 	tagA := d.tagFor(t, h.Current()) // via S2
-	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	delta, err := d.tree.Insert(hostRule, host32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
+	d.move(t, h, 4)
 	tagB := d.tagFor(t, h.Current()) // direct S1→S3
 	if tagA == tagB {
 		t.Fatal("both routes fold the same tag; the storm test needs them distinct")
@@ -139,19 +146,8 @@ func TestHandleStormOneVerdict(t *testing.T) {
 		}()
 	}
 	for i := 0; i < flips; i++ {
-		delta, err := d.tree.Remove(hostRule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
-		if delta, err = d.tree.Insert(hostRule, host32, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ApplyDelta(d.s1, delta); err != nil {
-			t.Fatal(err)
-		}
+		d.move(t, h, 3)
+		d.move(t, h, 4)
 	}
 	close(stop)
 	wg.Wait()
@@ -190,22 +186,10 @@ func TestHandleMatchesTable(t *testing.T) {
 	}
 
 	check("initial")
-	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	delta, err := d.tree.Insert(hostRule, host32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
-	check("after insert")
-	if delta, err = d.tree.Remove(hostRule); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
-	check("after remove")
+	d.move(t, h, 4)
+	check("after the move")
+	d.move(t, h, 3)
+	check("after the move back")
 	h.SetParams(bloom.Params{MBits: 32})
 	check("after SetParams")
 	h.Compact()
@@ -344,17 +328,11 @@ func TestVerdictCacheCoherence(t *testing.T) {
 		t.Fatalf("dropped flow's report fails: %v", v.Reason)
 	}
 
-	// A delta: the host /32 re-routes the flow, so the good report's tag
-	// goes stale. Its shard gets a new epoch and its entry is recomputed;
-	// the drop pair's shard keeps its epoch, and its verdict stays cached.
-	host32 := flowtable.Prefix{IP: 0x0a000201, Len: 32}
-	delta, err := d.tree.Insert(hostRule, host32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d.s1, delta); err != nil {
-		t.Fatal(err)
-	}
+	// A delta: moving the host /32 re-routes the flow, so the good
+	// report's tag goes stale. Its shard gets a new epoch and its entry is
+	// recomputed; the drop pair's shard keeps its epoch, and its verdict
+	// stays cached.
+	d.move(t, h, 4)
 	snap2 := h.Current()
 	if out := good.Outport; snap2.Epoch(out) <= snap.Epoch(out) {
 		t.Fatalf("epoch of the flow's exit shard did not advance: %d -> %d", snap.Epoch(out), snap2.Epoch(out))

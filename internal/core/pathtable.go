@@ -122,7 +122,7 @@ func (p *pairIndex) entries(fn func(in, out topo.PortKey, e *PathEntry)) {
 
 // arrival records that, during Algorithm 2's recursive search, the header
 // set Headers reached switch-port At having entered the network at Inport
-// and traversed Prefix so far. §4.4's path-entry update replays forwarding
+// and traversed Prefix so far. The incremental update replays forwarding
 // from these records when a rule changes a switch's behavior. Arrivals are
 // private to the writer, so unlike path entries they are updated in place.
 type arrival struct {
@@ -133,6 +133,19 @@ type arrival struct {
 	Tag     bloom.Tag
 
 	deleted bool
+	// next holds the arrivals one hop on, each reached out of a
+	// different port: those whose Prefix extends this one's by a hop.
+	next []*arrival
+}
+
+// child returns a's arrival one hop on through port y, nil when none.
+func (a *arrival) child(y topo.PortID) *arrival {
+	for _, c := range a.next {
+		if c.Prefix[len(c.Prefix)-1].Out == y {
+			return c
+		}
+	}
+	return nil
 }
 
 // PathTable is the verification server's model of the control plane.
@@ -161,27 +174,30 @@ type PathTable struct {
 	owned [pairShards]bool
 	// Running totals over pairs, behind Stats. setPair keeps nPairs and
 	// nPaths; nHops moves where a path is first stored (addPath) or
-	// dropped (ApplyDelta's shrink).
+	// dropped (the incremental shrink).
 	nPairs, nPaths, nHops int
 
 	// hopIndex lists the pairs with a path that exits through a given
 	// switch port (including ⊥ exits), for §4.4's "paths that pass port y"
 	// step. A list names a pair once per such path, and may still name one
 	// whose paths have since left the port: the shrink step re-checks each
-	// path, and Compact rebuilds the lists.
+	// path, and Compact rebuilds the lists. nIndexed counts the names in
+	// all lists; nHops of them are live.
 	hopIndex map[topo.PortKey][]tableKey
+	nIndexed int
 
 	// arrivals and arrivalIndex support incremental re-traversal: arrivals
 	// by switch, and by hops of their prefixes for shrinking. nArrivals
-	// counts the records, nDead those ApplyDelta emptied; Compact drops
-	// the dead ones.
+	// counts the records, nDead those an incremental shrink emptied;
+	// Compact drops the dead ones.
 	arrivals         map[topo.SwitchID][]*arrival
 	arrivalIndex     map[topo.PortKey][]*arrival
 	nArrivals, nDead int
 
-	// transfer caches every switch's guarded transfer functions from build
-	// time; incremental updates patch the plain (nil-rewrite) guards
-	// (valid under §4.4's no-ACL, no-rewrite assumption).
+	// transfer caches every switch's guarded transfer functions, always
+	// those of its present configuration: an incremental update replaces
+	// the edited switch's guards inside the edited rule's region, a re-run
+	// recomputes that switch's functions.
 	transfer map[topo.SwitchID]map[flowtable.PortPair][]flowtable.TransferEntry
 }
 
@@ -236,7 +252,8 @@ func (pt *PathTable) PathsPerPair() []int {
 
 // Lookup returns the paths for an ⟨inport, outport⟩ pair. It is read-only,
 // so Lookup and Verify may run concurrently from many goroutines as long as
-// no update (ApplyDelta, SetParams, Compact) runs at the same time.
+// no update (SetParams, Compact, an incremental update) runs at the same
+// time.
 //
 //lint:allocfree
 func (pt *PathTable) Lookup(in, out topo.PortKey) []*PathEntry {
@@ -251,7 +268,8 @@ func (pt *PathTable) Entries(fn func(in, out topo.PortKey, e *PathEntry)) {
 
 // addPath inserts a path entry, merging header sets when the identical hop
 // sequence is already present for the pair (which only happens during
-// incremental updates).
+// incremental updates). A new entry keeps path, which the caller must not
+// write again.
 func (pt *PathTable) addPath(in, out topo.PortKey, headers bdd.Ref, path topo.Path, tag bloom.Tag) {
 	k := tableKey{in, out}
 	es := pt.pairs.get(k)
@@ -263,7 +281,7 @@ func (pt *PathTable) addPath(in, out topo.PortKey, headers bdd.Ref, path topo.Pa
 			return
 		}
 	}
-	e := &PathEntry{Headers: headers, Path: append(topo.Path(nil), path...), Tag: tag}
+	e := &PathEntry{Headers: headers, Path: path, Tag: tag}
 	pt.setPair(k, append(es, e))
 	pt.nHops += len(e.Path)
 	pt.indexHops(k, e.Path)
@@ -275,6 +293,7 @@ func (pt *PathTable) indexHops(k tableKey, path topo.Path) {
 		pk := topo.PortKey{Switch: hop.Switch, Port: hop.Out}
 		pt.hopIndex[pk] = append(pt.hopIndex[pk], k)
 	}
+	pt.nIndexed += len(path)
 }
 
 // addArrival records a traversal arrival for incremental updates.

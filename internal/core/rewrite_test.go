@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"veridp/internal/bdd"
@@ -9,6 +10,7 @@ import (
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
 	"veridp/internal/header"
+	"veridp/internal/openflow"
 	"veridp/internal/topo"
 )
 
@@ -167,66 +169,98 @@ func TestRewriteTransferEntriesDisjoint(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaRejectsRewritingPairs: the §4.4 incremental path refuses to
-// patch transfer pairs that carry rewrites.
-func TestApplyDeltaRejectsRewritingPairs(t *testing.T) {
-	f, pt, n, _, _ := natSetup(t)
-	_ = f
+// TestApplyFlowModRerunsUnderRewrites: while any rule rewrites headers,
+// every FlowMod re-runs Algorithm 2, whichever switch it edits; deleting
+// the last rewriting rule re-runs once more, and FlowMods after it take
+// their deltas again. The table matches a from-scratch build throughout.
+func TestApplyFlowModRerunsUnderRewrites(t *testing.T) {
+	_, pt, n, natID, _ := natSetup(t)
+	s1 := n.SwitchByName("s1").ID
 	s3 := n.SwitchByName("s3").ID
-	tree := flowtable.NewPrefixTree(pt.Space, n.SwitchByName("s3").Ports())
-	delta, err := tree.Insert(1, flowtable.Prefix{IP: header.MustParseIP("203.0.113.80"), Len: 32}, 3)
-	if err != nil {
-		t.Fatal(err)
+	// This table's header space is a few hundred nodes, so one re-run
+	// could double it and count as a rebuild instead. Unrelated /32s
+	// grow it first, so the counts below show each FlowMod's own path.
+	for i := uint32(0); i < 64; i++ {
+		pt.Space.DstIPPrefix(i<<24|i, 32)
 	}
-	// Force the delta onto the NAT's pair: From must collide with a
-	// rewrite-carrying pair. The NAT pair is (in, out=host port 3).
-	delta.From = 3
-	delta.To = 2
-	if err := pt.ApplyDelta(s3, delta); err == nil {
-		t.Fatal("incremental update on a rewriting pair accepted")
+	h := NewHandle(pt)
+	web := flowtable.Rule{
+		Priority: 20,
+		Match:    flowtable.Match{DstPrefix: flowtable.Prefix{IP: header.MustParseIP("203.0.113.80"), Len: 32}, HasDst: true, DstPort: 443},
+		Action:   flowtable.ActDrop,
+	}
+	for _, step := range []struct {
+		name string
+		f    openflow.FlowMod
+		want FlowModPaths
+	}{
+		{"a drop beside the NAT", openflow.FlowMod{Command: openflow.FlowAdd, Switch: s1, RuleID: 1 << 40, Rule: web}, FlowModPaths{Rerun: 1}},
+		{"the NAT's delete", openflow.FlowMod{Command: openflow.FlowDelete, Switch: s3, RuleID: natID}, FlowModPaths{Rerun: 2}},
+		{"the drop's delete", openflow.FlowMod{Command: openflow.FlowDelete, Switch: s1, RuleID: 1 << 40}, FlowModPaths{Delta: 1, Rerun: 2}},
+	} {
+		if err := h.ApplyFlowMod(step.f.Switch, &step.f); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := h.FlowModPaths(); got != step.want {
+			t.Fatalf("%s: paths %+v, want %+v", step.name, got, step.want)
+		}
+		h.Inspect(func(pt *PathTable) {
+			want := (&Builder{Net: pt.Net, Space: pt.Space, Params: pt.Params, Configs: pt.Configs}).Build()
+			if err := h.Current().Diff(want); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+		})
 	}
 }
 
-// TestRejectedDeltaChangesNothing: a delta that reaches a rewriting pair
-// is refused before any transfer guard is patched, and the Handle
-// publishes nothing — no half-applied table, no epoch bump. The delta
-// moves headers from ⊥, whose pairs are plain at every input port, onto
-// the NAT's output port, whose pairs carry only the rewrite: a per-port
-// patch loop would subtract from ⟨1,⊥⟩ before failing on ⟨1,3⟩.
-func TestRejectedDeltaChangesNothing(t *testing.T) {
-	_, pt, n, _, _ := natSetup(t)
+// TestRejectedFlowModChangesNothing: a FlowMod the logical table rejects
+// changes no transfer guard, publishes nothing and moves no epoch, on the
+// difference path — which scans the switch's rules before it tries the
+// edit — and on the re-run path a rewriting rule forces.
+func TestRejectedFlowModChangesNothing(t *testing.T) {
+	_, pt, n, natID, _ := natSetup(t)
 	s3 := n.SwitchByName("s3").ID
-	guards := func() map[flowtable.PortPair][]bdd.Ref {
-		out := make(map[flowtable.PortPair][]bdd.Ref)
-		for pp, es := range pt.transfer[s3] {
-			for _, e := range es {
-				out[pp] = append(out[pp], e.Guard)
+	guards := func() string {
+		var b strings.Builder
+		for _, sw := range n.Switches() {
+			for _, x := range sw.Ports() {
+				for _, y := range append(sw.Ports(), topo.DropPort) {
+					fmt.Fprintln(&b, sw.ID, x, y, pt.transfer[sw.ID][flowtable.PortPair{In: x, Out: y}])
+				}
 			}
 		}
-		return out
+		return b.String()
 	}
-	before := guards()
 	h := NewHandle(pt)
-	snap := h.Current()
-	epochs := snap.epochs
-
-	delta := flowtable.Delta{Set: pt.Space.DstIPPrefix(header.MustParseIP("198.51.100.0"), 24), From: topo.DropPort, To: 3}
-	if err := h.ApplyDelta(s3, delta); err == nil {
-		t.Fatal("delta onto a rewriting pair accepted")
-	}
-	if h.Current() != snap {
-		t.Fatal("a rejected delta published a snapshot")
-	}
-	if snap.epochs != epochs {
-		t.Fatal("a rejected delta changed the published epochs")
-	}
-	after := guards()
-	if len(after) != len(before) {
-		t.Fatalf("transfer pairs %d → %d", len(before), len(after))
-	}
-	for pp, gs := range before {
-		if fmt.Sprint(after[pp]) != fmt.Sprint(gs) {
-			t.Fatalf("pair %v guards %v → %v", pp, gs, after[pp])
+	drop := flowtable.Rule{Priority: 30, Match: flowtable.Match{DstPrefix: flowtable.Prefix{IP: header.MustParseIP("198.51.100.0"), Len: 24}}, Action: flowtable.ActDrop}
+	for _, step := range []struct {
+		name string
+		f    openflow.FlowMod
+	}{
+		{"re-run path: modify of an unknown rule", openflow.FlowMod{Command: openflow.FlowModify, Switch: s3, RuleID: 77, Rule: drop}},
+		{"re-run path: duplicate add", openflow.FlowMod{Command: openflow.FlowAdd, Switch: s3, RuleID: natID, Rule: drop}},
+		{"the NAT's delete", openflow.FlowMod{Command: openflow.FlowDelete, Switch: s3, RuleID: natID}},
+		{"difference path: modify of an unknown rule", openflow.FlowMod{Command: openflow.FlowModify, Switch: s3, RuleID: 77, Rule: drop}},
+		{"difference path: delete of an unknown rule", openflow.FlowMod{Command: openflow.FlowDelete, Switch: s3, RuleID: natID}},
+		{"difference path: add without a rule ID", openflow.FlowMod{Command: openflow.FlowAdd, Switch: s3, Rule: drop}},
+	} {
+		snap, before := h.Current(), guards()
+		err := h.ApplyFlowMod(s3, &step.f)
+		if step.name == "the NAT's delete" {
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt = h.Table()
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%s: accepted", step.name)
+		}
+		if h.Current() != snap || h.Current().epochs != snap.epochs {
+			t.Fatalf("%s: published a snapshot", step.name)
+		}
+		if after := guards(); after != before {
+			t.Fatalf("%s: transfer guards changed:\n%s\n→\n%s", step.name, before, after)
 		}
 	}
 }

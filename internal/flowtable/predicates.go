@@ -11,6 +11,9 @@
 package flowtable
 
 import (
+	"cmp"
+	"slices"
+
 	"veridp/internal/bdd"
 	"veridp/internal/header"
 	"veridp/internal/topo"
@@ -106,10 +109,11 @@ func (c *SwitchConfig) Forward(in topo.PortID, h header.Header) (topo.PortID, *h
 	return out, rw
 }
 
-// inPredicate returns P_x^in.
-func (c *SwitchConfig) inPredicate(s *header.Space, x topo.PortID) bdd.Ref {
+// inPredicate returns P_x^in, within w when port x has an ACL (see
+// transferWithin).
+func (c *SwitchConfig) inPredicate(s *header.Space, x topo.PortID, w bdd.Ref, pred func(Match) bdd.Ref) bdd.Ref {
 	if acl, ok := c.InACL[x]; ok {
-		return acl.Predicate(s)
+		return acl.predicateWithin(s, w, pred)
 	}
 	return s.All()
 }
@@ -131,6 +135,14 @@ type PortPair struct {
 	Out topo.PortID // may be topo.DropPort
 }
 
+// Compare orders pairs by input port, then output port (⊥ last).
+func (p PortPair) Compare(q PortPair) int {
+	if p.In != q.In {
+		return cmp.Compare(p.In, q.In)
+	}
+	return cmp.Compare(p.Out, q.Out)
+}
+
 // TransferEntry is one slice of a transfer function: packets matching
 // Guard leave through the pair's output port carrying Rewrite (nil for
 // unmodified forwarding). Entries of one pair have pairwise-disjoint
@@ -140,49 +152,113 @@ type TransferEntry struct {
 	Rewrite *header.Rewrite
 }
 
+// PairEntry is a transfer entry with the pair it belongs to.
+type PairEntry struct {
+	PortPair
+	TransferEntry
+}
+
 // TransferFuncs is the switch's one symbolic semantics: the §4.1 transfer
 // predicates P_{x,y} for every input port x and output port y ∈ Ports ∪
 // {⊥}, generalized to rewriting rules as the guarded rewrites that apply
 // to each ⟨in, out⟩ pair. For configurations without rewrites it
 // degenerates to exactly one nil-rewrite entry per pair, guard equal to
 // P_{x,y}. Out-bound ACLs are evaluated on the post-rewrite header via
-// preimages. Algorithm 2 traverses these functions, and §4.4's incremental
-// path patches their guards in place (PrefixTree supplies the deltas).
+// preimages. Algorithm 2 traverses these functions.
 func (c *SwitchConfig) TransferFuncs(s *header.Space) map[PortPair][]TransferEntry {
-	out := make(map[PortPair][]TransferEntry, len(c.Ports)*(len(c.Ports)+1))
-	addEntry := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
-		if guard == bdd.False {
-			return
+	list := c.transferWithin(s, s.All(), func(m Match) bdd.Ref { return m.HeaderPredicate(s) })
+	out := make(map[PortPair][]TransferEntry, len(list))
+	all := make([]TransferEntry, len(list))
+	for i := 0; i < len(list); {
+		j := i
+		for ; j < len(list) && list[j].PortPair == list[i].PortPair; j++ {
+			all[j] = list[j].TransferEntry
 		}
-		for i := range out[pp] {
-			if out[pp][i].Rewrite.Equal(rw) {
-				out[pp][i].Guard = s.T.Or(out[pp][i].Guard, guard)
-				return
+		out[list[i].PortPair] = all[i:j:j]
+		i = j
+	}
+	return out
+}
+
+// TransferWithin returns a function computing TransferFuncs cut down to
+// the headers that rule a or rule b matches (either may be nil): the only
+// headers whose forwarding can change when one of the switch's rules is
+// replaced by another. Every guard it returns is TransferFuncs' guard ∧ W,
+// W the union of the two rules' header predicates, for the rules the
+// table holds at the call — so calling it before and after an edit that
+// replaces a with b gives both sides of the edit. The entries come in
+// PortPair.Compare order. A rule or ACL entry whose destination prefix is
+// disjoint from a's and b's cannot meet W, and is skipped before its
+// predicate is built.
+func (c *SwitchConfig) TransferWithin(s *header.Space, a, b *Rule) func() []PairEntry {
+	type edited struct {
+		m Match
+		p bdd.Ref
+	}
+	var eds []edited
+	w := bdd.False
+	for _, r := range [2]*Rule{a, b} {
+		if r != nil {
+			p := r.Match.HeaderPredicate(s)
+			eds = append(eds, edited{r.Match, p})
+			w = s.T.Or(w, p)
+		}
+	}
+	pred := func(m Match) bdd.Ref {
+		near := false
+		for _, e := range eds {
+			if e.m.DstPrefix.Overlaps(m.DstPrefix) {
+				if e.m == m {
+					return e.p
+				}
+				near = true
 			}
 		}
-		out[pp] = append(out[pp], TransferEntry{Guard: guard, Rewrite: rw})
+		if near {
+			return m.HeaderPredicate(s)
+		}
+		return bdd.False
+	}
+	return func() []PairEntry { return c.transferWithin(s, w, pred) }
+}
+
+// flatEntry is one output bucket of a priority scan: the headers a rule
+// sends out port y with rewrite rw.
+type flatEntry struct {
+	y     topo.PortID
+	guard bdd.Ref
+	rw    *header.Rewrite
+}
+
+// transferWithin computes the transfer functions over the headers in w,
+// in PortPair.Compare order. pred returns a match's header predicate, or
+// False for a match that cannot meet w.
+func (c *SwitchConfig) transferWithin(s *header.Space, w bdd.Ref, pred func(Match) bdd.Ref) []PairEntry {
+	out := make([]PairEntry, 0, 2*len(c.Ports))
+	// A scan's buckets hold distinct ⟨out, rewrite⟩ pairs and none is ⊥,
+	// so every entry added for one input port is a new one.
+	addEntry := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
+		if guard != bdd.False {
+			out = append(out, PairEntry{pp, TransferEntry{Guard: guard, Rewrite: rw}})
+		}
 	}
 
 	// The expensive priority scan is input-port independent unless some
 	// rule matches on the input port; compute it once in that case and
 	// specialize per port only by the (cheap) in-ACL predicate.
 	perInput := c.usesInPort()
-	var sharedFlat []struct {
-		y     topo.PortID
-		guard bdd.Ref
-		rw    *header.Rewrite
-	}
+	var sharedFlat []flatEntry
 	var sharedDrop bdd.Ref
 	if !perInput {
-		sharedFlat, sharedDrop = c.scanRules(s, 0)
+		sharedFlat, sharedDrop = c.scanRules(s, 0, w, pred)
 	}
 
 	for _, x := range c.Ports {
 		flat, drop := sharedFlat, sharedDrop
 		if perInput {
-			flat, drop = c.scanRules(s, x)
+			flat, drop = c.scanRules(s, x, w, pred)
 		}
-		pin := c.inPredicate(s, x)
+		pin := c.inPredicate(s, x, w, pred)
 		if pin == bdd.True {
 			for _, fe := range flat {
 				addEntry(PortPair{x, fe.y}, fe.guard, fe.rw)
@@ -194,28 +270,21 @@ func (c *SwitchConfig) TransferFuncs(s *header.Space) map[PortPair][]TransferEnt
 			addEntry(PortPair{x, fe.y}, s.T.And(pin, fe.guard), fe.rw)
 		}
 		addEntry(PortPair{x, topo.DropPort},
-			s.T.Or(s.T.Not(pin), s.T.And(pin, drop)), nil)
+			s.T.Or(s.T.Diff(w, pin), s.T.And(pin, drop)), nil)
 	}
+	slices.SortStableFunc(out, func(a, b PairEntry) int { return a.Compare(b.PortPair) })
 	return out
 }
 
-// scanRules runs the priority scan for packets arriving on inPort (0 when
-// no rule constrains the input port), without the in-ACL term. It returns
-// per-output guarded rewrites plus the drop guard.
-func (c *SwitchConfig) scanRules(s *header.Space, inPort topo.PortID) ([]struct {
-	y     topo.PortID
-	guard bdd.Ref
-	rw    *header.Rewrite
-}, bdd.Ref) {
-	type flatEntry = struct {
-		y     topo.PortID
-		guard bdd.Ref
-		rw    *header.Rewrite
-	}
+// scanRules runs the priority scan over the headers in w for packets
+// arriving on inPort (0 when no rule constrains the input port), without
+// the in-ACL term. It returns per-output guarded rewrites plus the drop
+// guard, all inside w.
+func (c *SwitchConfig) scanRules(s *header.Space, inPort topo.PortID, w bdd.Ref, pred func(Match) bdd.Ref) ([]flatEntry, bdd.Ref) {
 	var flat []flatEntry
 	drop := bdd.False
-	remaining := s.All()
-	outACLPred := map[topo.PortID]bdd.Ref{}
+	remaining := w
+	var outACLPred map[topo.PortID]bdd.Ref
 	for _, r := range c.Table.Rules() {
 		if remaining == bdd.False {
 			break
@@ -223,7 +292,11 @@ func (c *SwitchConfig) scanRules(s *header.Space, inPort topo.PortID) ([]struct 
 		if r.Match.InPort != 0 && r.Match.InPort != inPort {
 			continue
 		}
-		hit := s.T.And(remaining, r.Match.HeaderPredicate(s))
+		p := pred(r.Match)
+		if p == bdd.False {
+			continue
+		}
+		hit := s.T.And(remaining, p)
 		if hit == bdd.False {
 			continue
 		}
@@ -246,6 +319,9 @@ func (c *SwitchConfig) scanRules(s *header.Space, inPort topo.PortID) ([]struct 
 			p, cached := outACLPred[y]
 			if !cached {
 				p = acl.Predicate(s)
+				if outACLPred == nil {
+					outACLPred = make(map[topo.PortID]bdd.Ref)
+				}
 				outACLPred[y] = p
 			}
 			allowed := s.Preimage(p, rw)

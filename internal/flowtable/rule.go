@@ -1,8 +1,8 @@
 // Package flowtable implements OpenFlow-style flow tables: prioritized
 // rules over 5-tuple matches, lookup semantics, ACLs, and the translation
 // from rule sets to the per-port BDD predicates that VeriDP's path-table
-// construction consumes (§4.1), including the prefix-tree organization that
-// makes §4.4's incremental updates cheap.
+// construction consumes (§4.1), whole or cut down to the headers one rule
+// edit can move (§4.4's incremental update).
 package flowtable
 
 import (
@@ -42,9 +42,14 @@ func (p Prefix) Matches(ip uint32) bool {
 	return ip&p.mask() == p.IP&p.mask()
 }
 
-// Contains reports whether o is a (non-strict) sub-prefix of p.
-func (p Prefix) Contains(o Prefix) bool {
-	return p.Len <= o.Len && p.Matches(o.IP)
+// Overlaps reports whether p and o share an address: one contains the
+// other.
+func (p Prefix) Overlaps(o Prefix) bool {
+	shorter := p
+	if o.Len < p.Len {
+		shorter = o
+	}
+	return (p.IP^o.IP)&shorter.mask() == 0
 }
 
 // Equal reports whether two prefixes denote the same address block.

@@ -157,10 +157,15 @@ func (a ACL) Allows(h header.Header) bool {
 // Predicate returns the BDD of headers the ACL admits: the P^in / P^out
 // port predicates of §4.1.
 func (a ACL) Predicate(s *header.Space) bdd.Ref {
+	return a.predicateWithin(s, s.All(), func(m Match) bdd.Ref { return m.HeaderPredicate(s) })
+}
+
+// predicateWithin is Predicate ∧ w, with pred as in transferWithin.
+func (a ACL) predicateWithin(s *header.Space, w bdd.Ref, pred func(Match) bdd.Ref) bdd.Ref {
 	allowed := bdd.False
-	remaining := s.All()
+	remaining := w
 	for _, r := range a {
-		m := r.Match.HeaderPredicate(s)
+		m := pred(r.Match)
 		hit := s.T.And(remaining, m)
 		if r.Permit {
 			allowed = s.T.Or(allowed, hit)

@@ -19,11 +19,18 @@ func TestPrefixBasics(t *testing.T) {
 	if !p.Matches(ip("10.1.255.255")) || p.Matches(ip("10.2.0.0")) {
 		t.Fatal("Matches wrong")
 	}
-	if !(Prefix{ip("10.0.0.0"), 8}).Contains(Prefix{ip("10.1.0.0"), 16}) {
-		t.Fatal("Contains wrong")
-	}
-	if (Prefix{ip("10.1.0.0"), 16}).Contains(Prefix{ip("10.0.0.0"), 8}) {
-		t.Fatal("Contains not antisymmetric")
+	for _, c := range []struct {
+		a, b Prefix
+		want bool
+	}{
+		{Prefix{ip("10.0.0.0"), 8}, Prefix{ip("10.1.0.0"), 16}, true},
+		{Prefix{ip("10.1.0.0"), 16}, Prefix{ip("10.2.0.0"), 16}, false},
+		{Prefix{ip("10.1.2.3"), 32}, Prefix{ip("10.1.2.0"), 24}, true},
+		{Prefix{0, 0}, Prefix{ip("192.0.2.1"), 32}, true},
+	} {
+		if c.a.Overlaps(c.b) != c.want || c.b.Overlaps(c.a) != c.want {
+			t.Fatalf("%v overlaps %v: want %v", c.a, c.b, c.want)
+		}
 	}
 	if (Prefix{0, 0}).String() != "0.0.0.0/0" {
 		t.Fatal("String wrong")

@@ -102,11 +102,23 @@ func ParseIP(s string) (uint32, error) {
 // header sets share one Space.
 type Space struct {
 	T *bdd.Table
+
+	// fields remembers every field predicate built so far: the few
+	// thousand prefixes and values of rules and ACLs, asked for again at
+	// every scan of a switch's rules. Like T, it has one writer at a time.
+	fields map[fieldKey]bdd.Ref
+}
+
+// fieldKey names a field predicate: the field's offset, the prefix length
+// and the prefix bits.
+type fieldKey struct {
+	offset, plen int
+	value        uint32
 }
 
 // NewSpace allocates a fresh header space backed by a new BDD table.
 func NewSpace() *Space {
-	return &Space{T: bdd.New(NumVars)}
+	return &Space{T: bdd.New(NumVars), fields: make(map[fieldKey]bdd.Ref)}
 }
 
 // All returns the all-match header set (the BDD True).
@@ -115,28 +127,32 @@ func (s *Space) All() bdd.Ref { return bdd.True }
 // fieldEq builds the predicate "field == value" for a field of width bits
 // starting at offset.
 func (s *Space) fieldEq(offset, bits int, value uint32) bdd.Ref {
-	vars := make([]int, bits)
-	values := make([]bool, bits)
-	for i := 0; i < bits; i++ {
-		vars[i] = offset + i
-		values[i] = value>>(bits-1-i)&1 == 1
-	}
-	return s.T.Cube(vars, values)
+	return s.fieldPrefix(offset, bits, value, bits)
 }
 
 // fieldPrefix builds the predicate "top plen bits of field == top plen bits
-// of value".
+// of value". Fields are at most 32 bits wide, so the literals fit arrays on
+// the stack.
 func (s *Space) fieldPrefix(offset, bits int, value uint32, plen int) bdd.Ref {
 	if plen < 0 || plen > bits {
 		panic(fmt.Sprintf("header: prefix length %d out of range [0,%d]", plen, bits))
 	}
-	vars := make([]int, plen)
-	values := make([]bool, plen)
+	k := fieldKey{offset, plen, value >> (bits - plen) << (bits - plen)}
+	if r, ok := s.fields[k]; ok {
+		return r
+	}
+	var vars [32]int
+	var values [32]bool
 	for i := 0; i < plen; i++ {
 		vars[i] = offset + i
 		values[i] = value>>(bits-1-i)&1 == 1
 	}
-	return s.T.Cube(vars, values)
+	r := s.T.Cube(vars[:plen], values[:plen])
+	if s.fields == nil {
+		s.fields = make(map[fieldKey]bdd.Ref)
+	}
+	s.fields[k] = r
+	return r
 }
 
 // SrcIPPrefix returns the predicate src_ip ∈ prefix/plen.

@@ -5,10 +5,12 @@ import (
 	"time"
 
 	"veridp/internal/bloom"
+	"veridp/internal/core"
 	"veridp/internal/dataplane"
 	"veridp/internal/faults"
 	"veridp/internal/flowtable"
 	"veridp/internal/header"
+	"veridp/internal/openflow"
 	"veridp/internal/topo"
 	"veridp/internal/traffic"
 )
@@ -412,5 +414,75 @@ func TestIncrementalUpdateCorrectness(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no reports checked")
+	}
+}
+
+// TestLiveUpdatesMatchBuild installs every rule of a reduced Stanford
+// network (with its ACLs and service policies) and a reduced Internet2
+// network (with its service policies) one FlowAdd at a time from empty
+// tables through core.Handle.ApplyFlowMod, then modifies every third rule
+// into a drop and deletes every third. After every FlowMod the published
+// table must equal a from-scratch build over the edited configurations,
+// and every FlowMod takes its rule's difference, apart from the rebuilds
+// that bound the header space.
+func TestLiveUpdatesMatchBuild(t *testing.T) {
+	stanford := StanfordScale{HostsPerRouter: 1, SubnetsPerRouter: 3, ACLRules: 16, ServicePolicies: 12, Seed: 3}
+	internet2 := Internet2Scale{HostsPerRouter: 1, Prefixes: 16, ServicePolicies: 8, Seed: 2}
+	for _, tc := range []struct {
+		name string
+		env  func() (*Env, error)
+	}{
+		{"stanford", func() (*Env, error) { return StanfordEnv(stanford, bloom.DefaultParams) }},
+		{"internet2", func() (*Env, error) { return Internet2Env(internet2, bloom.DefaultParams) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := tc.env()
+			if err != nil {
+				t.Fatal(err)
+			}
+			configs := make(map[topo.SwitchID]*flowtable.SwitchConfig)
+			var adds []*openflow.FlowMod
+			acls := 0
+			for _, sw := range e.Net.Switches() {
+				cfg := e.Ctrl.Logical()[sw.ID].Clone()
+				for _, r := range cfg.Table.Rules() {
+					adds = append(adds, &openflow.FlowMod{Command: openflow.FlowAdd, Switch: sw.ID, RuleID: r.ID, Rule: *r})
+				}
+				if cfg.HasACLs() {
+					acls++
+				}
+				cfg.Table = flowtable.NewTable()
+				configs[sw.ID] = cfg
+			}
+			if tc.name == "stanford" && acls == 0 {
+				t.Fatal("the reduced Stanford network has no ACLs")
+			}
+			var later []*openflow.FlowMod
+			for i, f := range adds {
+				switch i % 3 {
+				case 0:
+					later = append(later, &openflow.FlowMod{Command: openflow.FlowDelete, Switch: f.Switch, RuleID: f.RuleID})
+				case 1:
+					m := *f
+					m.Command, m.Rule.Action, m.Rule.OutPort = openflow.FlowModify, flowtable.ActDrop, 0
+					later = append(later, &m)
+				}
+			}
+			h := core.NewHandle((&core.Builder{Net: e.Net, Space: header.NewSpace(), Params: e.Params, Configs: configs}).Build())
+			for i, f := range append(adds, later...) {
+				if err := h.ApplyFlowMod(f.Switch, f); err != nil {
+					t.Fatalf("FlowMod %d: %v", i, err)
+				}
+				h.Inspect(func(pt *core.PathTable) {
+					want := (&core.Builder{Net: e.Net, Space: pt.Space, Params: pt.Params, Configs: configs}).Build()
+					if err := h.Current().Diff(want); err != nil {
+						t.Fatalf("after FlowMod %d (%v rule %d %v at switch %d): %v", i, f.Command, f.RuleID, &f.Rule, f.Switch, err)
+					}
+				})
+			}
+			if p := h.FlowModPaths(); p.Rerun != 0 || p.Delta+p.Rebuild != uint64(len(adds)+len(later)) {
+				t.Fatalf("%d FlowMods took %+v", len(adds)+len(later), p)
+			}
+		})
 	}
 }

@@ -52,7 +52,7 @@ func (r UpdateExperimentResult) Percentile(p float64) time.Duration {
 // environment: strip the target router's rules from the monitor's copy of
 // the configuration, build the table, then re-add the rules one FlowAdd at
 // a time through core.Handle.ApplyFlowMod — the path a live server runs,
-// which takes §4.4's deltas for prefix rules and publishes a snapshot per
+// which takes each rule's difference (§4.4) and publishes a snapshot per
 // update.
 func IncrementalUpdate(scale Internet2Scale, targetRouter string) (*UpdateExperimentResult, error) {
 	e, err := Internet2Env(scale, defaultBloom())

@@ -55,6 +55,7 @@ type Result struct {
 	Verified  int      // reports that verified OK (synchronous pass)
 	Violated  int      // reports that failed verification
 	Localized int      // failed reports PathInfer recovered a path for
+	Reruns    uint64   // FlowMods the monitors followed by re-running Algorithm 2
 	Failure   *Failure // first oracle violation, nil on a clean run
 	Trace     []byte   // deterministic per-report verdict trace
 }
@@ -240,6 +241,7 @@ func Run(ctx context.Context, c *Campaign, logf func(format string, args ...any)
 	}
 	e.res.Failure = fail
 	e.res.Trace = e.trace.Bytes()
+	e.res.Reruns += e.currentHandle().FlowModPaths().Rerun
 	return e.res, nil
 }
 
@@ -304,6 +306,9 @@ func (e *engine) currentHandle() *core.Handle {
 
 func (e *engine) setHandle(h *core.Handle) {
 	e.mu.Lock()
+	if e.handle != nil {
+		e.res.Reruns += e.handle.FlowModPaths().Rerun
+	}
 	e.handle = h
 	e.mu.Unlock()
 }
@@ -397,10 +402,10 @@ func (e *engine) step(ctx context.Context, i int, st Step) (*Failure, error) {
 }
 
 // incrementalOracle checks the table the monitor maintained FlowMod by
-// FlowMod — by §4.4 deltas or by re-running Algorithm 2 — against a
-// from-scratch build over the controller's logical state: the published
-// entries and totals must be the same. The reference is built in the
-// monitor's header space, where equal header sets are equal refs.
+// FlowMod — by each rule's difference or by re-running Algorithm 2 —
+// against a from-scratch build over the controller's logical state: the
+// published entries and totals must be the same. The reference is built in
+// the monitor's header space, where equal header sets are equal refs.
 func (e *engine) incrementalOracle(i int) *Failure {
 	h := e.currentHandle()
 	var err error
@@ -417,9 +422,9 @@ func (e *engine) incrementalOracle(i int) *Failure {
 // recheckCache runs every sampled report through the probe cache against
 // a snapshot just published, and keeps the first verdict that differs
 // from an uncached Verify. Checked after each FlowMod rather than each
-// step, it sees every publication on its own: a shard a §4.4 delta
-// changed without renewing its epoch serves a stale verdict here even when
-// a later FlowMod of the same step renews every epoch.
+// step, it sees every publication on its own: a shard an incremental
+// update changed without renewing its epoch serves a stale verdict here
+// even when a later FlowMod of the same step renews every epoch.
 func (e *engine) recheckCache(snap *core.Snapshot) {
 	for idx := range e.coSamples {
 		s := &e.coSamples[idx]
@@ -438,7 +443,7 @@ func (e *engine) recheckCache(snap *core.Snapshot) {
 // cacheCoherenceOracle replays the sample ring: every verdict the cache
 // ever served must be recomputable, identically, by the uncached Verify
 // against the exact snapshot that served it — no matter how many
-// Swap/ApplyDelta publications (epoch bumps) have happened since.
+// Swap/ApplyFlowMod publications (epoch bumps) have happened since.
 // Snapshots are immutable, so any divergence means the cache associated a
 // verdict with the wrong key or the wrong epoch.
 func (e *engine) cacheCoherenceOracle(i int) *Failure {

@@ -34,6 +34,9 @@ func TestStormShortCampaign(t *testing.T) {
 	if res.Localized == 0 {
 		t.Fatal("no violation was localized")
 	}
+	if res.Reruns != 0 {
+		t.Fatalf("no campaign op rewrites headers, yet %d FlowMods re-ran Algorithm 2", res.Reruns)
+	}
 }
 
 // TestCampaignDeterminism is the replay contract: the same campaign run

@@ -5,7 +5,7 @@
 //
 //	one-verdict        snapshot publication (core.Handle / core.Snapshot)
 //	cache-coherent     the verdict cache (core.VerdictCache per-shard epoch invalidation)
-//	incremental-equiv  live updates (core.Handle.ApplyFlowMod: §4.4 deltas, rebuild fallback)
+//	incremental-equiv  live updates (core.Handle.ApplyFlowMod: one rule's difference, re-runs under rewrites)
 //	no-false-positive  path-table construction + Algorithm 3 verification
 //	localization       Algorithm 4 PathInfer / FaultySwitch
 //	counter-fold       report pipeline (Sender → Collector worker pool)
@@ -28,9 +28,10 @@ const (
 	// step, across the epoch changes every publication makes.
 	OracleCacheCoherent = "cache-coherent"
 	// OracleIncrementalEquiv: the table the monitor maintains from the
-	// FlowMod stream — §4.4 deltas where the preconditions hold, its
-	// rebuild fallback elsewhere — publishes exactly the entries and
-	// totals of a from-scratch build over the controller's logical state.
+	// FlowMod stream — by each rule's difference, or by re-running
+	// Algorithm 2 while a rule rewrites headers — publishes exactly the
+	// entries and totals of a from-scratch build over the controller's
+	// logical state.
 	OracleIncrementalEquiv = "incremental-equiv"
 	// OracleNoFalsePositive: a probe whose actual path equals its
 	// intended path never produces a failing report; on a fault-free

@@ -1,6 +1,7 @@
 package veridp
 
 import (
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"veridp/internal/core"
+	"veridp/internal/header"
+	"veridp/internal/openflow"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -55,6 +58,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
+	}
+}
+
+// TestMetricsFlowModPaths: FT(4)'s routes and an in-port rule arrive
+// through the proxy hooks and count as deltas (or as the rebuilds that
+// bound the header space), never as re-runs; a rewriting rule counts one
+// re-run. The exposition reports the Handle's counters.
+func TestMetricsFlowModPaths(t *testing.T) {
+	r := newProxyRig(t, FatTree(4))
+	mods := routeAll(t, r.net)
+	for _, f := range mods {
+		r.send(f)
+	}
+	edge := mods[0].Switch
+	r.send(&openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1 << 40, Rule: Rule{
+		Priority: 100, Match: Match{InPort: 1, DstPrefix: Prefix{IP: MustParseIP("10.0.0.0"), Len: 8}}, Action: ActDrop,
+	}})
+	scrape := func() (delta, rerun, rebuild uint64) {
+		t.Helper()
+		var b strings.Builder
+		if err := r.mon.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			path string
+			n    *uint64
+		}{{"delta", &delta}, {"rerun", &rerun}, {"rebuild", &rebuild}} {
+			series := fmt.Sprintf("veridp_flowmods_total{path=%q} ", c.path)
+			_, after, ok := strings.Cut(b.String(), series)
+			if !ok {
+				t.Fatalf("metrics missing %q:\n%s", series, b.String())
+			}
+			fmt.Sscan(after, c.n)
+		}
+		return delta, rerun, rebuild
+	}
+	delta, rerun, rebuild := scrape()
+	if rerun != 0 || delta == 0 || delta+rebuild != uint64(r.sent) {
+		t.Fatalf("%d FlowMods without rewrites: delta %d, rerun %d, rebuild %d", r.sent, delta, rerun, rebuild)
+	}
+	r.send(&openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1<<40 + 1, Rule: Rule{
+		Priority: 100, Match: Match{DstPrefix: Prefix{IP: MustParseIP("203.0.113.80"), Len: 32}}, Action: ActOutput, OutPort: 1,
+		Rewrite: &header.Rewrite{SetDstIP: true, DstIP: MustParseIP("10.0.0.2")},
+	}})
+	d2, rerun2, rebuild2 := scrape()
+	if d2 != delta || rerun2+rebuild2 != rebuild+1 || rerun2 > 1 {
+		t.Fatalf("a rewriting rule: delta %d→%d, rerun %d→%d, rebuild %d→%d", delta, d2, rerun, rerun2, rebuild, rebuild2)
+	}
+	if p := r.mon.Handle().FlowModPaths(); p != (core.FlowModPaths{Delta: d2, Rerun: rerun2, Rebuild: rebuild2}) {
+		t.Fatalf("exposition %d/%d/%d, Handle %+v", d2, rerun2, rebuild2, p)
 	}
 }
 

@@ -299,16 +299,19 @@ func (m *Monitor) Stats() (verified, violated uint64) {
 func (m *Monitor) PathTable() *core.PathTable { return m.handle.Table() }
 
 // Handle exposes the snapshot-publication handle, for callers that verify
-// reports or apply §4.4 deltas from their own goroutines.
+// reports or apply FlowMods from their own goroutines.
 func (m *Monitor) Handle() *core.Handle { return m.handle }
 
 // WriteMetrics emits the monitor's counters in the Prometheus text
 // exposition format: verified/violated totals, violations by reason,
-// localizations by blamed switch, and path-table gauges.
+// localizations by blamed switch, path-table gauges, and the FlowMods the
+// proxy hooks applied by the way the table followed each (see
+// core.FlowModPaths).
 func (m *Monitor) WriteMetrics(w io.Writer) error {
-	// The published snapshot carries its own totals, so a scrape never
-	// waits for the update lock.
+	// The published snapshot carries its own totals and the FlowMod
+	// counters are atomics, so a scrape never waits for the update lock.
 	st := m.handle.Current().Stats()
+	paths := m.handle.FlowModPaths()
 	m.mu.Lock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# TYPE veridp_reports_verified_total counter\n")
@@ -350,6 +353,10 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	fmt.Fprintf(&b, "veridp_path_table_pairs %d\n", st.Pairs)
 	fmt.Fprintf(&b, "# TYPE veridp_path_table_paths gauge\n")
 	fmt.Fprintf(&b, "veridp_path_table_paths %d\n", st.Paths)
+	fmt.Fprintf(&b, "# TYPE veridp_flowmods_total counter\n")
+	fmt.Fprintf(&b, "veridp_flowmods_total{path=\"delta\"} %d\n", paths.Delta)
+	fmt.Fprintf(&b, "veridp_flowmods_total{path=\"rerun\"} %d\n", paths.Rerun)
+	fmt.Fprintf(&b, "veridp_flowmods_total{path=\"rebuild\"} %d\n", paths.Rebuild)
 	m.mu.Unlock()
 	// The write happens after release: w is typically a network-backed
 	// ResponseWriter, and a slow scraper must not stall verification.
@@ -392,9 +399,10 @@ func (m *Monitor) Repair(r *Report, inst RuleInstaller) (SwitchID, error) {
 // with the FlowMods passing through the southbound proxy — the deployment
 // of Figure 4, where the VeriDP server sits on the OpenFlow channel. Each
 // FlowMod goes to core.Handle.ApplyFlowMod, which edits the monitor's own
-// logical configurations (the map NewMonitor was given): destination-prefix
-// rules update the table by §4.4 deltas, anything else re-runs Algorithm 2,
-// and the result is published as one snapshot. A FlowMod the logical table
+// logical configurations (the map NewMonitor was given): a rule of any
+// shape updates the table by the difference it makes at its switch (§4.4),
+// a re-run of Algorithm 2 takes over while some rule rewrites headers, and
+// the result is published as one snapshot. A FlowMod the logical table
 // rejects (a delete of an unknown rule ID, say) changes nothing and
 // publishes nothing. The logical argument is ignored; it stays for existing
 // callers such as bench/mirror.go.

@@ -251,8 +251,8 @@ type proxyRig struct {
 	sent  int
 	// renewals counts the FlowMods after which every exit port's cache
 	// epoch was new: the signature of a table re-run or rebuilt, where a
-	// §4.4 delta renews only the shards of the pairs it moved. rebuilds
-	// counts those that replaced the header space.
+	// rule's difference renews only the shards of the pairs it moved.
+	// rebuilds counts those that replaced the header space.
 	renewals, rebuilds int
 }
 
@@ -302,9 +302,9 @@ func (r *proxyRig) send(f *openflow.FlowMod) (renewedAll bool) {
 	return renewedAll
 }
 
-// checkDeltas fails the test unless every FlowMod so far took the §4.4
-// path, apart from the rebuilds that bound the header space — and those
-// are a small share.
+// checkDeltas fails the test unless every FlowMod so far took its
+// difference, apart from the rebuilds that bound the header space — and
+// those are a small share.
 func (r *proxyRig) checkDeltas() {
 	r.t.Helper()
 	if r.renewals != r.rebuilds || r.rebuilds*20 > r.sent {
@@ -326,7 +326,7 @@ func routeAll(t *testing.T, net *Network) []*openflow.FlowMod {
 
 // churn sends random deletes, re-adds and modifies of the given prefix
 // rules. Modifies move a rule to another port (or to a drop) and keep its
-// prefix and priority, so it stays a §4.4 rule.
+// prefix and priority.
 func (r *proxyRig) churn(rules []*openflow.FlowMod, steps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	installed := make([]bool, len(rules))
@@ -362,8 +362,9 @@ func (r *proxyRig) churn(rules []*openflow.FlowMod, steps int, seed int64) {
 // through the proxy hook one FlowMod at a time from a cold start (empty
 // logical configurations, as veridp-server starts), then random deletes,
 // re-adds and modifies follow, and after every FlowMod the published table
-// must equal a from-scratch build. The hook takes the §4.4 path for every
-// one of them, apart from the few rebuilds that bound the header space.
+// must equal a from-scratch build. The hook takes each rule's difference
+// for every one of them, apart from the few rebuilds that bound the header
+// space.
 func TestProxyHooksIncrementalMatchesRebuild(t *testing.T) {
 	r := newProxyRig(t, FatTree(4))
 	mods := routeAll(t, r.net)
@@ -410,57 +411,61 @@ func TestProxyHooksIncrementalWarmStart(t *testing.T) {
 	r.checkDeltas()
 }
 
-// TestProxyHooksFallbackAndRequalify: an in-port rule, then an L4 rule, on
-// one switch take it off the §4.4 path — every later FlowMod there re-runs
-// Algorithm 2 and renews every cache epoch — while the other switches keep
-// taking deltas; once both rules are deleted the switch qualifies again.
-func TestProxyHooksFallbackAndRequalify(t *testing.T) {
+// TestProxyHooksDeltasUntilRewrite: in-port and L4 rules take their
+// deltas like prefix rules do, and so does every FlowMod around them; one
+// rewriting rule anywhere makes every FlowMod, on any switch, re-run
+// Algorithm 2 — renewing every cache epoch — and deleting it returns the
+// monitor to deltas.
+func TestProxyHooksDeltasUntilRewrite(t *testing.T) {
 	r := newProxyRig(t, FatTree(4))
 	mods := routeAll(t, r.net)
 	for _, f := range mods {
 		r.send(f)
 	}
 	edge := mods[0].Switch
-	var prefixRule, elsewhere *openflow.FlowMod
+	var elsewhere *openflow.FlowMod
 	for _, f := range mods[1:] {
-		if f.Switch == edge && prefixRule == nil {
-			prefixRule = f
-		}
-		if f.Switch != edge && elsewhere == nil {
+		if f.Switch != edge {
 			elsewhere = f
+			break
 		}
 	}
 	del := func(f *openflow.FlowMod) *openflow.FlowMod {
 		return &openflow.FlowMod{Command: openflow.FlowDelete, Switch: f.Switch, RuleID: f.RuleID}
 	}
-	if r.send(del(prefixRule)) {
-		t.Fatal("a prefix-rule delete on a qualifying switch renewed every epoch")
-	}
-
 	inPort := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1 << 40, Rule: Rule{
 		Priority: 100, Match: Match{InPort: 1, DstPrefix: Prefix{IP: MustParseIP("10.0.0.0"), Len: 8}}, Action: ActDrop,
 	}}
 	l4 := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: edge, RuleID: 1<<40 + 1, Rule: Rule{
 		Priority: 90, Match: Match{HasDst: true, DstPort: 22}, Action: ActDrop,
 	}}
-	for _, f := range []*openflow.FlowMod{inPort, l4, prefixRule} {
-		if !r.send(f) {
-			t.Fatalf("rule %v on a disqualified switch took the delta path", f.Rule.Match)
+	nat := &openflow.FlowMod{Command: openflow.FlowAdd, Switch: elsewhere.Switch, RuleID: 1<<40 + 2, Rule: Rule{
+		Priority: 80, Match: Match{DstPrefix: Prefix{IP: MustParseIP("203.0.113.80"), Len: 32}}, Action: ActOutput,
+		OutPort: elsewhere.Rule.OutPort, Rewrite: &header.Rewrite{SetDstIP: true, DstIP: MustParseIP("10.0.0.2")},
+	}}
+	for _, step := range []struct {
+		f     *openflow.FlowMod
+		rerun bool
+	}{
+		{inPort, false}, {l4, false}, {del(mods[0]), false}, {mods[0], false},
+		{nat, true}, {del(l4), true}, {del(elsewhere), true}, {elsewhere, true},
+		{del(nat), true}, {l4, false}, {del(inPort), false}, {del(l4), false},
+	} {
+		before := r.mon.Handle().FlowModPaths()
+		renewed := r.send(step.f)
+		after := r.mon.Handle().FlowModPaths()
+		if after.Rebuild != before.Rebuild {
+			continue // a rebuild bounding the header space: neither path
+		}
+		if rerun := after.Rerun != before.Rerun; rerun != step.rerun || renewed != step.rerun {
+			t.Fatalf("FlowMod %d (%v rule %d, match %v): re-ran %v, renewed every epoch %v; want %v",
+				r.sent, step.f.Command, step.f.RuleID, step.f.Rule.Match, rerun, renewed, step.rerun)
 		}
 	}
-	if r.send(del(elsewhere)) {
-		t.Fatal("a delete on another, qualifying switch renewed every epoch")
-	}
-	r.send(elsewhere)
-
-	// Deleting the two rules re-qualifies the switch.
-	r.send(del(inPort))
-	r.send(del(l4))
-	if r.send(del(prefixRule)) {
-		t.Fatal("the switch did not re-qualify once its in-port and L4 rules were gone")
-	}
-	r.send(prefixRule)
 	r.churn(mods, 100, 3)
+	if p := r.mon.Handle().FlowModPaths(); p.Rerun != 5 {
+		t.Fatalf("FlowMod paths %+v, want the 5 re-runs of the rewriting rule's lifetime", p)
+	}
 }
 
 // TestFlowModStreamAgentMatchesProxy replays one FlowMod stream into a
