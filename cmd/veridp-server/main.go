@@ -146,10 +146,13 @@ func run(ctx context.Context, logger *log.Logger) error {
 	}()
 	logger.Printf("collecting tag reports on %v (%d workers)", collector.Addr(), collector.Workers())
 
-	// Metrics endpoint: the Monitor's families, then the collector's ingest
-	// counters. Reading the collector second keeps received ≥ verified +
-	// violated on every scrape, since a batch is counted before it is
-	// verified.
+	// OpenFlow interception proxy, served below once the metrics are up.
+	proxy := openflow.NewProxy(*ctrlAddr, mon.ProxyHooks(logical), logger)
+
+	// Metrics endpoint: the Monitor's families, the proxy's relay
+	// counters, then the collector's ingest counters. Reading the
+	// collector after the Monitor keeps received ≥ verified + violated on
+	// every scrape, since a batch is counted before it is verified.
 	if *metricsAddr != "" {
 		ml, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
@@ -158,6 +161,7 @@ func run(ctx context.Context, logger *log.Logger) error {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			mon.ServeHTTP(w, r)
+			proxy.WriteMetrics(w)
 			fmt.Fprintf(w, "# TYPE veridp_reports_received_total counter\nveridp_reports_received_total %d\n"+
 				"# TYPE veridp_reports_malformed_total counter\nveridp_reports_malformed_total %d\n",
 				collector.Received(), collector.Malformed())
@@ -176,8 +180,6 @@ func run(ctx context.Context, logger *log.Logger) error {
 		}()
 	}
 
-	// OpenFlow interception proxy.
-	proxy := openflow.NewProxy(*ctrlAddr, mon.ProxyHooks(logical), logger)
 	l, err := net.Listen("tcp", *listenAddr)
 	if err != nil {
 		return err

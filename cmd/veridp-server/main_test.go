@@ -22,6 +22,7 @@ import (
 	"veridp/internal/controller"
 	"veridp/internal/dataplane"
 	"veridp/internal/flowtable"
+	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/report"
 	"veridp/internal/topo"
@@ -216,6 +217,75 @@ func TestMetricsIngestCounters(t *testing.T) {
 	}
 	t.Fatalf("received %d, malformed %d; want 1 and 1",
 		got["veridp_reports_received_total"], got["veridp_reports_malformed_total"])
+}
+
+// TestMetricsProxyRelay drives one FlowMod and one Barrier from a
+// controller through the server's proxy to a switch agent, and reads the
+// relay's frame and write counters, and its accept retries, from /metrics.
+func TestMetricsProxyRelay(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	ctrlL, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := controller.NewServer()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = ctrl.Serve(ctx, ctrlL) // returns once ctx is cancelled
+	}()
+
+	logs, stop := start(t, map[string]string{"metrics": "127.0.0.1:0", "controller": ctrlL.Addr().String()})
+	defer stop()
+	url := "http://" + logged(t, logs, "serving metrics on ")
+	raw, err := net.Dial("tcp", logged(t, logs, "proxying OpenFlow on "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := topo.Figure5()
+	sw := n.Switches()[0].ID
+	agent := &dataplane.Agent{Fabric: dataplane.NewFabric(n), ID: sw, Mu: &sync.Mutex{}}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = agent.Run(ctx, raw) // ends when ctx is cancelled
+	}()
+	if err := ctrl.WaitForSwitches([]topo.SwitchID{sw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Apply(&openflow.FlowMod{Command: openflow.FlowAdd, Switch: sw, RuleID: 1,
+		Rule: flowtable.Rule{Priority: 1, Action: flowtable.ActDrop}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Barrier(sw); err != nil {
+		t.Fatal(err)
+	}
+
+	// The BarrierReply reaches the controller before the relay counts the
+	// write that carried it, so poll until the counters settle.
+	const (
+		framesDown = `veridp_openflow_frames_total{dir="to_switch"}`
+		framesUp   = `veridp_openflow_frames_total{dir="to_controller"}`
+		writesDown = `veridp_openflow_writes_total{dir="to_switch"}`
+		writesUp   = `veridp_openflow_writes_total{dir="to_controller"}`
+		retries    = "veridp_proxy_accept_retries_total"
+	)
+	var got map[string]uint64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		got = scrape(t, url)
+		if got[framesDown] == 2 && got[framesUp] == 1 && got[writesUp] == 1 &&
+			got[writesDown] >= 1 && got[writesDown] <= 2 {
+			if _, ok := got[retries]; !ok {
+				t.Fatalf("no %s on /metrics", retries)
+			}
+			return
+		}
+	}
+	t.Fatalf("frames %d down %d up, writes %d down %d up; want 2 and 1 frames, 1–2 and 1 writes",
+		got[framesDown], got[framesUp], got[writesDown], got[writesUp])
 }
 
 // scrape reads url and parses every sample line as `name value`, failing

@@ -45,6 +45,8 @@ type Proxy struct {
 	logger         *log.Logger
 
 	acceptRetries atomic.Uint64 // temporary Accept errors retried with backoff
+	toSwitch      relayStats    // controller → switch leg, over every session
+	toController  relayStats    // switch → controller leg, over every session
 
 	mu       sync.Mutex
 	listener net.Listener          // guarded by mu
@@ -70,9 +72,34 @@ func (p *Proxy) logf(format string, args ...interface{}) {
 	}
 }
 
+// relayStats counts one splice direction: frames relayed, and the writes
+// that carried them. frames ÷ writes is how many frames a write carried.
+type relayStats struct {
+	frames atomic.Uint64
+	writes atomic.Uint64
+}
+
 // AcceptRetries returns how many temporary Accept errors the proxy has
 // ridden out with backoff since it started.
 func (p *Proxy) AcceptRetries() uint64 { return p.acceptRetries.Load() }
+
+// WriteMetrics emits the proxy's counters in the Prometheus text
+// exposition format: frames relayed and socket writes per splice
+// direction, and AcceptRetries.
+func (p *Proxy) WriteMetrics(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "# TYPE veridp_openflow_frames_total counter\n"+
+		"veridp_openflow_frames_total{dir=\"to_switch\"} %d\n"+
+		"veridp_openflow_frames_total{dir=\"to_controller\"} %d\n"+
+		"# TYPE veridp_openflow_writes_total counter\n"+
+		"veridp_openflow_writes_total{dir=\"to_switch\"} %d\n"+
+		"veridp_openflow_writes_total{dir=\"to_controller\"} %d\n"+
+		"# TYPE veridp_proxy_accept_retries_total counter\n"+
+		"veridp_proxy_accept_retries_total %d\n",
+		p.toSwitch.frames.Load(), p.toController.frames.Load(),
+		p.toSwitch.writes.Load(), p.toController.writes.Load(),
+		p.AcceptRetries())
+	return err
+}
 
 // Serve accepts switch connections on l until ctx is cancelled or Close
 // is called, then drains every spliced session before returning. It
@@ -198,53 +225,60 @@ func (p *Proxy) serveSwitch(ctx context.Context, raw net.Conn) {
 	// unblocks the other's parked Recv by closing the conn it writes to,
 	// so Wait cannot hang on a half-closed session.
 	var splice sync.WaitGroup
+	splice.Add(2)
 	// Controller → switch: intercept FlowMods.
-	splice.Add(1)
 	go func() {
 		defer splice.Done()
-		for {
-			m, err := upConn.Recv()
-			if err != nil {
-				p.reportSpliceEnd(sw, "controller", err)
-				raw.Close()
+		p.relay(sw, upConn, swConn, "controller", "switch", &p.toSwitch, func(m *Message) {
+			if m.Type != TypeFlowMod || p.hooks.OnFlowMod == nil {
 				return
 			}
-			if m.Type == TypeFlowMod && p.hooks.OnFlowMod != nil {
-				if f, err := UnmarshalFlowMod(m.Body); err == nil {
-					p.hooks.OnFlowMod(sw, f)
-				} else {
-					p.logf("switch %d: undecodable FlowMod: %v", sw, err)
-				}
+			if f, err := UnmarshalFlowMod(m.Body); err == nil {
+				p.hooks.OnFlowMod(sw, f)
+			} else {
+				p.logf("switch %d: undecodable FlowMod: %v", sw, err)
 			}
-			if err := swConn.Send(m); err != nil {
-				p.reportSpliceEnd(sw, "switch(write)", err)
-				upRaw.Close()
-				return
-			}
-		}
+		})
 	}()
 	// Switch → controller: intercept BarrierReplies.
-	splice.Add(1)
 	go func() {
 		defer splice.Done()
-		for {
-			m, err := swConn.Recv()
-			if err != nil {
-				p.reportSpliceEnd(sw, "switch", err)
-				upRaw.Close()
-				return
-			}
+		p.relay(sw, swConn, upConn, "switch", "controller", &p.toController, func(m *Message) {
 			if m.Type == TypeBarrierReply && p.hooks.OnBarrierReply != nil {
 				p.hooks.OnBarrierReply(sw, m.Xid)
 			}
-			if err := upConn.Send(m); err != nil {
-				p.reportSpliceEnd(sw, "controller(write)", err)
-				raw.Close()
-				return
-			}
-		}
+		})
 	}()
 	splice.Wait()
+}
+
+// relay is one splice leg: it carries frames from src to dst until either
+// side fails, then closes the other side so the opposite leg ends too.
+// Each frame goes through intercept, then onto dst's pending output; the
+// pending output is written in one write as soon as src holds no further
+// whole frame. So intercept has run for a frame before any byte of it is
+// written, a burst that arrived in one read leaves in one write, and
+// nothing is held back while the next Recv may block.
+func (p *Proxy) relay(sw topo.SwitchID, src, dst *Conn, from, to string, st *relayStats, intercept func(*Message)) {
+	for {
+		m, err := src.Recv()
+		if err != nil {
+			p.reportSpliceEnd(sw, from, err)
+			dst.Close()
+			return
+		}
+		intercept(m)
+		st.frames.Add(1)
+		flush := !src.buffered()
+		if flush {
+			st.writes.Add(1)
+		}
+		if err := dst.send(m, flush); err != nil {
+			p.reportSpliceEnd(sw, to+"(write)", err)
+			src.Close()
+			return
+		}
+	}
 }
 
 func (p *Proxy) reportSpliceEnd(sw topo.SwitchID, side string, err error) {
