@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -52,7 +51,6 @@ var (
 	reportAddr  = flag.String("reports", fmt.Sprintf(":%d", packet.ReportPort), "UDP address for tag reports")
 	metricsAddr = flag.String("metrics", "", "HTTP address for Prometheus metrics (empty disables)")
 	mbits       = flag.Int("mbits", 16, "Bloom tag size in bits")
-	workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "report collector worker goroutines")
 	tableCache  = flag.String("table-cache", "", "learned-rule cache: the table is rebuilt from it on start (warm start) and it is rewritten on graceful shutdown")
 	shutdownTO  = flag.Duration("shutdown-timeout", 5*time.Second, "grace period for draining on SIGINT/SIGTERM")
 )
@@ -130,9 +128,9 @@ func run(ctx context.Context, logger *log.Logger) error {
 	}
 	mon := veridp.NewMonitor(net_, logical, cfg)
 
-	// Tag-report collector: each worker gets its own batch handler (and
-	// with it a private verdict cache).
-	collector, err := report.NewCollector(*reportAddr, mon.BatchHandler, logger, report.WithWorkers(*workers))
+	// Tag-report collector: one reader with one batch handler (and with it
+	// one verdict cache).
+	collector, err := report.NewCollector(*reportAddr, mon.BatchHandler, logger)
 	if err != nil {
 		return err
 	}
@@ -140,11 +138,11 @@ func run(ctx context.Context, logger *log.Logger) error {
 	// chan: buffered 1 — the Run goroutine hands off its exit status without rendezvous, so it can never leak
 	collectorDone := make(chan error, 1)
 	go func() {
-		// Run drains its workers before returning, so a receive from
+		// Run finishes its batch before returning, so a receive from
 		// collectorDone is the "in-flight datagrams finished" signal.
 		collectorDone <- collector.Run(ctx)
 	}()
-	logger.Printf("collecting tag reports on %v (%d workers)", collector.Addr(), collector.Workers())
+	logger.Printf("collecting tag reports on %v", collector.Addr())
 
 	// OpenFlow interception proxy, served below once the metrics are up.
 	proxy := openflow.NewProxy(*ctrlAddr, mon.ProxyHooks(logical), logger)
@@ -163,8 +161,10 @@ func run(ctx context.Context, logger *log.Logger) error {
 			mon.ServeHTTP(w, r)
 			proxy.WriteMetrics(w)
 			fmt.Fprintf(w, "# TYPE veridp_reports_received_total counter\nveridp_reports_received_total %d\n"+
-				"# TYPE veridp_reports_malformed_total counter\nveridp_reports_malformed_total %d\n",
-				collector.Received(), collector.Malformed())
+				"# TYPE veridp_reports_malformed_total counter\nveridp_reports_malformed_total %d\n"+
+				"# TYPE veridp_reports_recv_calls_total counter\nveridp_reports_recv_calls_total %d\n"+
+				"# TYPE veridp_reports_recv_empty_total counter\nveridp_reports_recv_empty_total %d\n",
+				collector.Received(), collector.Malformed(), collector.RecvCalls(), collector.RecvEmpty())
 		})
 		msrv := &http.Server{Handler: mux}
 		logger.Printf("serving metrics on %v/metrics", ml.Addr())

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,7 +60,7 @@ func start(t *testing.T, flags map[string]string) (logs *logSink, stop func() st
 	set := map[string]string{
 		"topo": "figure5", "mbits": "16", "table-cache": "",
 		"listen": "127.0.0.1:0", "reports": "127.0.0.1:0", "controller": "127.0.0.1:1",
-		"metrics": "", "workers": "1", "shutdown-timeout": "2s",
+		"metrics": "", "shutdown-timeout": "2s",
 	}
 	for name, v := range flags {
 		set[name] = v
@@ -189,7 +190,10 @@ func logged(t *testing.T, logs *logSink, prefix string) string {
 }
 
 // TestMetricsIngestCounters sends the collector one good report and one
-// garbage datagram, then reads both ingest counters from /metrics.
+// garbage datagram, then reads the ingest counters from /metrics: both
+// datagrams counted, and the receive calls that took them. The reader
+// parks at least once on an idle socket, and a call that returned data
+// took at least one datagram.
 func TestMetricsIngestCounters(t *testing.T) {
 	logs, stop := start(t, map[string]string{"metrics": "127.0.0.1:0"})
 	defer stop()
@@ -212,11 +216,20 @@ func TestMetricsIngestCounters(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		got = scrape(t, url)
 		if got["veridp_reports_received_total"] == 1 && got["veridp_reports_malformed_total"] == 1 {
-			return
+			break
 		}
 	}
-	t.Fatalf("received %d, malformed %d; want 1 and 1",
-		got["veridp_reports_received_total"], got["veridp_reports_malformed_total"])
+	calls, empty := got["veridp_reports_recv_calls_total"], got["veridp_reports_recv_empty_total"]
+	if got["veridp_reports_received_total"] != 1 || got["veridp_reports_malformed_total"] != 1 {
+		t.Fatalf("received %d, malformed %d; want 1 and 1",
+			got["veridp_reports_received_total"], got["veridp_reports_malformed_total"])
+	}
+	if runtime.GOOS == "linux" && empty == 0 {
+		t.Errorf("recv_empty_total = 0; the idle reader never parked")
+	}
+	if calls <= empty || calls-empty > 2 {
+		t.Errorf("recv_calls_total %d, recv_empty_total %d: want 1 or 2 calls that took the 2 datagrams", calls, empty)
+	}
 }
 
 // TestMetricsProxyRelay drives one FlowMod and one Barrier from a

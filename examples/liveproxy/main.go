@@ -59,7 +59,7 @@ func run(ctx context.Context) error {
 	for _, sw := range net_.Switches() {
 		logical[sw.ID] = flowtable.NewSwitchConfig(sw.Ports())
 	}
-	// chan: buffered 64 — verdict callbacks fire on collector workers; the buffer absorbs bursts between the demo's prints
+	// chan: buffered 64 — verdict callbacks fire on the collector's reader; the buffer absorbs bursts between the demo's prints
 	verdicts := make(chan string, 64)
 	mon := veridp.NewMonitor(net_, logical, veridp.MonitorConfig{
 		OnVerified: func(r *veridp.Report) {

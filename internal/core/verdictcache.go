@@ -19,8 +19,8 @@
 // shard map that was current when e was minted — and shard maps a
 // snapshot can reach are immutable.
 //
-// Concurrency: a VerdictCache is single-writer. Each collector worker (or
-// measurement loop) owns one outright, so slot reads and writes need no
+// Concurrency: a VerdictCache is single-writer. The collector's reader (or
+// a measurement loop) owns one outright, so slot reads and writes need no
 // atomics. Only the hit/miss counters are atomic, because stats readers
 // fold them from other goroutines.
 

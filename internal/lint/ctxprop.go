@@ -1,5 +1,5 @@
 // Checker ctxprop: cancellation must be threaded, not invented. The
-// monitor's long-lived goroutines (proxy splices, collector workers,
+// monitor's long-lived goroutines (proxy splices, the collector's reader,
 // agent serve loops) park in blocking operations; the only way to shut
 // one down is a cancellation signal that reaches it, so the repo rule has
 // four clauses:

@@ -1,7 +1,7 @@
 // Checker wgsync: sync.WaitGroup join protocol. Every long-lived
 // component of the monitor drains its workers through a WaitGroup (the
 // proxy's splice goroutines, the controller's per-switch serveConn
-// units, the collector's worker pool), and each of the classic WaitGroup
+// units), and each of the classic WaitGroup
 // mistakes deadlocks or under-counts the join at shutdown — exactly when
 // the monitor must prove it leaked nothing. Four clauses:
 //

@@ -110,7 +110,51 @@ func FuzzConnRecv(f *testing.F) {
 		if !bytes.HasPrefix(data, out.written) {
 			t.Fatalf("re-sent frames (%d bytes) are not the prefix of the stream they came from", len(out.written))
 		}
+		roundTrip(t, data)
 	})
+}
+
+// roundTrip sends one frame whose body is data repeated to the length its
+// first two bytes give: a body up to maxBody must come back from Recv as
+// it was sent, and a larger one must be refused with nothing written.
+func roundTrip(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	body := bytes.Repeat(data, int(binary.BigEndian.Uint16(data))/len(data)+1)[:binary.BigEndian.Uint16(data)]
+	out := &streamConn{}
+	err := NewConn(out).Send(&Message{Type: TypeTableDumpReply, Xid: 9, Body: body})
+	if len(body) > maxBody {
+		if err == nil || len(out.written) > 0 {
+			t.Fatalf("%d-byte body: send returned %v and wrote %d bytes; want an error and no bytes", len(body), err, len(out.written))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%d-byte body: %v", len(body), err)
+	}
+	m, err := NewConn(&streamConn{data: out.written}).Recv()
+	if err != nil {
+		t.Fatalf("%d-byte body: recv: %v", len(body), err)
+	}
+	if m.Type != TypeTableDumpReply || m.Xid != 9 || !bytes.Equal(m.Body, body) {
+		t.Fatalf("%d-byte body came back as %v xid %d with %d bytes", len(body), m.Type, m.Xid, len(m.Body))
+	}
+}
+
+// TestSendRejectsOversizedBody: a body one byte past what the 16-bit
+// length field can frame is refused, and no byte of it reaches the
+// socket; a body of exactly maxBody round-trips.
+func TestSendRejectsOversizedBody(t *testing.T) {
+	out := &streamConn{}
+	if err := NewConn(out).Send(&Message{Type: TypeTableDumpReply, Body: make([]byte, maxBody+1)}); err == nil {
+		t.Fatal("oversized body sent")
+	}
+	if len(out.written) > 0 {
+		t.Fatalf("oversized body wrote %d bytes", len(out.written))
+	}
+	roundTrip(t, binary.BigEndian.AppendUint16(nil, maxBody))
+	roundTrip(t, binary.BigEndian.AppendUint16(nil, maxBody+1))
 }
 
 // recvWithin receives one message from c, failing the test if none comes

@@ -75,9 +75,11 @@ func (t MsgType) String() string {
 // headerLen is the fixed frame header: version, type, length, xid.
 const headerLen = 8
 
-// maxBody bounds message bodies to keep a corrupted length field from
-// allocating unbounded memory.
-const maxBody = 1 << 24 // large enough for a full-table dump of ~300K rules
+// maxBody is the largest body the header's 16-bit length field can frame:
+// send refuses anything larger rather than wrap the length, and a frame
+// that claims more is rejected on receive. A table dump fits it up to
+// ~1 489 rules of 44 wire bytes each.
+const maxBody = 0xFFFF - headerLen
 
 // Message is one southbound frame.
 type Message struct {

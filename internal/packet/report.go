@@ -71,7 +71,7 @@ func UnmarshalReport(b []byte) (*Report, error) {
 
 // UnmarshalReportInto decodes a wire-form report into r, overwriting every
 // field. It allocates nothing, so callers on a hot receive path can reuse
-// one Report per worker (the collector's zero-alloc datagram loop). The
+// one batch of Reports (the collector's zero-alloc datagram loop). The
 // error returns may allocate: they are the cold path, taken only for
 // malformed datagrams.
 //

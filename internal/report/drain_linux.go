@@ -1,10 +1,10 @@
 // Batch receive, Linux fast path: one recvmmsg(MSG_DONTWAIT) per wakeup
 // fills up to defaultBatch preallocated buffers. It runs inside
-// RawConn.Read, which holds the descriptor's read lock and, when the
-// closure reports an empty queue, parks the goroutine in Go's netpoller
-// until the socket is readable — so an idle worker sleeps, never polls,
-// and a concurrent Close releases it. The closure is built once per worker
-// so the hot path allocates nothing.
+// RawConn.Read, which, when the closure reports an empty queue, parks the
+// reader in Go's netpoller until the socket is readable — so an idle
+// collector sleeps, never polls, and a concurrent Close releases it. The
+// closure is built once, so the hot path allocates nothing; it counts
+// every call and every empty return.
 
 //go:build linux
 
@@ -13,6 +13,7 @@ package report
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
@@ -24,21 +25,24 @@ type mmsghdr struct {
 	len uint32
 }
 
-// recvState is one worker's receive plumbing: each header points at its
-// own iovec, buffer and sender sockaddr. n/errno are the closure's
-// results, reused across calls.
+// recvState is the collector's receive plumbing: each header points at
+// its own iovec, buffer and sender sockaddr. n/errno are the closure's
+// results, reused across calls; calls/empty count recvmmsg calls and the
+// EAGAIN returns among them.
 type recvState struct {
 	raw   syscall.RawConn
 	fn    func(fd uintptr) bool
 	n     int
 	errno syscall.Errno
+	calls atomic.Uint64
+	empty atomic.Uint64
 	hdrs  [defaultBatch]mmsghdr
 	iovs  [defaultBatch]syscall.Iovec
 	addrs [defaultBatch]syscall.RawSockaddrAny
 	bufs  [defaultBatch][maxDatagram]byte
 }
 
-// init wires the headers to the worker's arrays and builds the receive
+// init wires the headers to the arrays and builds the receive
 // closure on conn's RawConn.
 func (r *recvState) init(conn *net.UDPConn) error {
 	raw, err := conn.SyscallConn()
@@ -56,10 +60,12 @@ func (r *recvState) init(conn *net.UDPConn) error {
 		h.Iovlen = 1
 	}
 	r.fn = func(fd uintptr) bool {
+		r.calls.Add(1)
 		n, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 			uintptr(unsafe.Pointer(&r.hdrs[0])), defaultBatch,
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
+			r.empty.Add(1)
 			return false // empty queue: park until readable
 		}
 		r.n, r.errno = int(n), e

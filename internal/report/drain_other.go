@@ -9,14 +9,18 @@ package report
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 )
 
-// recvState is the fallback's single receive buffer.
+// recvState is the fallback's single receive buffer. A blocking read
+// never returns empty, so empty stays 0.
 type recvState struct {
-	conn *net.UDPConn
-	buf  [maxDatagram]byte
-	n    int
-	from netip.AddrPort
+	conn  *net.UDPConn
+	buf   [maxDatagram]byte
+	n     int
+	from  netip.AddrPort
+	calls atomic.Uint64
+	empty atomic.Uint64
 }
 
 // init records the socket to read from.
@@ -27,6 +31,7 @@ func (r *recvState) init(conn *net.UDPConn) error {
 
 // read blocks for one datagram: a batch of one.
 func (r *recvState) read() (int, error) {
+	r.calls.Add(1)
 	n, from, err := r.conn.ReadFromUDPAddrPort(r.buf[:])
 	if err != nil {
 		return 0, err

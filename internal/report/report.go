@@ -5,20 +5,18 @@
 // (cmd/veridp-server, examples/liveproxy) and is exercised end-to-end over
 // real sockets in its tests.
 //
-// The collector is a parallel pipeline: a configurable pool of workers
-// (WithWorkers) each loops receive→decode→verify — so verification
-// throughput scales with cores, the multi-threaded server §6.4 of the
-// paper anticipates. Every worker receives on the one bound socket
-// descriptor. On Linux one recvmmsg(MSG_DONTWAIT) per wakeup takes up to
-// defaultBatch queued datagrams into the worker's preallocated buffers;
-// on an empty queue the worker parks in Go's netpoller. The descriptor's
-// read lock lets one worker at a time receive, so a datagram wakes one
-// parked worker, not all of them, and the others verify their batches
-// meanwhile. The worker hands the whole batch to its verifier in one call,
-// amortizing the snapshot pin, cache probes, and counter updates (see
-// core.VerifyBatch). The happy path allocates nothing per datagram: each
-// worker receives into its own arrays and decodes into a reused batch
-// slice.
+// The collector is one goroutine that owns the bound socket and loops
+// receive→decode→verify. On Linux one recvmmsg(MSG_DONTWAIT) per wakeup
+// takes up to defaultBatch queued datagrams into preallocated buffers; on
+// an empty queue the reader parks in Go's netpoller. The whole batch goes
+// to the verifier in one call, amortizing the snapshot pin, cache probes,
+// and counter updates (see core.VerifyBatch), and the happy path
+// allocates nothing per datagram. One reader bounds verification to one
+// core: at ~2.5 µs a report that is roughly 400 000 reports/s. A
+// deployment that needs more should give each further reader a socket of
+// its own (SO_REUSEPORT); readers sharing one descriptor hand its read
+// lock back and forth, and every hand-off costs a wakeup and often an
+// empty receive.
 package report
 
 import (
@@ -27,8 +25,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"veridp/internal/netutil"
@@ -72,75 +68,45 @@ func (s *Sender) Close() error { return s.conn.Close() }
 // 34-byte report plus any padded or trailing junk a switch might send.
 const maxDatagram = 2048
 
-// shard holds one worker's counters, so the datagram hot path touches no
-// state shared between workers. The pad sizes a shard to one 64-byte
-// cache line, keeping adjacent shards' counters apart (they are written on
-// every wakeup).
-type shard struct {
-	received  atomic.Uint64
-	malformed atomic.Uint64
-	_         [48]byte
-}
+// defaultBatch is the most datagrams the collector receives and verifies
+// per wakeup: large enough to amortize the per-wakeup costs under load,
+// small enough that a batch's verdicts are not held back long. A receive
+// takes whatever is queued, up to the batch, so an idle collector still
+// verifies each report the moment it arrives.
+const defaultBatch = 32
 
-// worker is one goroutine's private state: its counter shard, its receive
-// arrays, and the reused batch of decoded reports. Nothing here is shared
-// between workers.
-type worker struct {
-	shard *shard
-	batch []packet.Report // decoded reports, reused every wakeup
-	recv  recvState       // platform batch-receive state
-}
-
-// Collector receives, parses, and dispatches report datagrams with a pool
-// of worker goroutines sharing one UDP socket.
+// Collector receives, parses, and dispatches report datagrams on one
+// goroutine that owns one UDP socket.
 type Collector struct {
-	conn       *net.UDPConn // the one bound socket every worker receives on
+	conn       *net.UDPConn // the bound socket; only Run receives on it
 	newHandler func() func([]packet.Report)
 	logs       *netutil.LogLimiter
+	batch      []packet.Report // decoded reports, reused every wakeup
+	recv       recvState       // platform batch-receive state
 
-	workers []worker // fixed after NewCollector
-	shards  []shard  // one per worker; fixed after NewCollector
+	received  atomic.Uint64
+	malformed atomic.Uint64
 }
 
 // Option configures a Collector.
-type Option func(*collectorOptions)
+type Option struct{}
 
-type collectorOptions struct {
-	workers int
-}
-
-// WithWorkers sets the number of read/decode/verify worker goroutines the
-// collector runs (default runtime.GOMAXPROCS(0)). Values below 1 are
-// clamped to 1.
-func WithWorkers(n int) Option {
-	return func(o *collectorOptions) { o.workers = n }
-}
-
-// defaultBatch is the most datagrams a worker receives and verifies per
-// wakeup: large enough to amortize the per-wakeup costs under load, small
-// enough that one worker cannot hoard a burst another core could verify.
-// A receive takes whatever is queued, up to the batch, so an idle
-// collector still verifies each report the moment it arrives — batching
-// only kicks in when datagrams are queued faster than workers wake.
-const defaultBatch = 32
+// WithWorkers is ignored: the collector has one reader.
+//
+// Deprecated: the benchmark harness's in-process mirror still passes it;
+// it is deleted together with that mirror.
+func WithWorkers(int) Option { return Option{} }
 
 // NewCollector listens on addr (e.g. ":48879") and dispatches batches of
-// parsed reports to a handler. logger may be nil.
+// parsed reports to a handler. logger may be nil. No Option has any
+// effect.
 //
-// newHandler is a factory: it is called once per worker, and each worker
-// calls only its own handler — so the handler closure may own mutable
-// single-goroutine state (a verdict cache, a scratch buffer) without any
-// locking. The []packet.Report batch a handler receives is reused by the
-// worker: it is valid only until the handler returns — copy any report to
-// retain it.
-func NewCollector(addr string, newHandler func() func([]packet.Report), logger *log.Logger, opts ...Option) (*Collector, error) {
-	o := collectorOptions{workers: runtime.GOMAXPROCS(0)}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.workers < 1 {
-		o.workers = 1
-	}
+// newHandler is a factory that Run calls once; the handler runs only on
+// Run's goroutine, so its closure may own mutable state (a verdict cache,
+// a scratch buffer) without any locking. The []packet.Report batch a
+// handler receives is reused: it is valid only until the handler returns
+// — copy any report to retain it.
+func NewCollector(addr string, newHandler func() func([]packet.Report), logger *log.Logger, _ ...Option) (*Collector, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("report: resolve %q: %w", addr, err)
@@ -153,17 +119,11 @@ func NewCollector(addr string, newHandler func() func([]packet.Report), logger *
 		conn:       conn,
 		newHandler: newHandler,
 		logs:       netutil.NewLogLimiter(logger),
-		workers:    make([]worker, o.workers),
-		shards:     make([]shard, o.workers),
+		batch:      make([]packet.Report, defaultBatch),
 	}
-	for i := range c.workers {
-		w := &c.workers[i]
-		w.shard = &c.shards[i]
-		w.batch = make([]packet.Report, defaultBatch)
-		if err := w.recv.init(conn); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("report: receive setup: %w", err)
-		}
+	if err := c.recv.init(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("report: receive setup: %w", err)
 	}
 	return c, nil
 }
@@ -171,49 +131,27 @@ func NewCollector(addr string, newHandler func() func([]packet.Report), logger *
 // Addr returns the bound address (useful with port 0).
 func (c *Collector) Addr() net.Addr { return c.conn.LocalAddr() }
 
-// Workers returns the size of the worker pool.
-func (c *Collector) Workers() int { return len(c.workers) }
-
-// Run starts the worker pool and blocks until ctx is cancelled or Close
-// is called, draining every worker before returning; it always returns a
-// non-nil error: ctx.Err() after cancellation, net.ErrClosed after Close.
+// Run is the receive→decode→dispatch loop; each received batch goes to
+// the handler in one call. It blocks until ctx is cancelled or Close is
+// called, and always returns a non-nil error: ctx.Err() after
+// cancellation, net.ErrClosed after Close. A handler that is running
+// when the socket closes finishes its batch first. Transient receive
+// errors back off with a cap (reset on the next batch) so a wedged socket
+// cannot hot-spin the reader. Run may be called once.
 func (c *Collector) Run(ctx context.Context) error {
 	// Cancellation is delivered by closing the socket, which fails the
-	// parked receive and every worker queued behind it.
+	// parked receive.
 	stop := context.AfterFunc(ctx, c.Close)
 	defer stop()
 
-	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i := range c.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = c.worker(ctx, &c.workers[i])
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return errors.New("report: collector stopped") // unreachable: workers only exit on error
-}
-
-// worker is one receive→decode→dispatch loop; each received batch goes to
-// the worker's handler in one call. Transient receive errors back off with
-// a cap (reset on the next batch) so a wedged socket cannot hot-spin a
-// worker.
-func (c *Collector) worker(ctx context.Context, w *worker) error {
-	handle := c.newHandler() // one handler per worker: single-writer state
+	handle := c.newHandler()
 	var bo netutil.Backoff
 	for {
-		k, err := c.fillBatch(w)
+		k, err := c.fillBatch()
 		if err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
 			if errors.Is(err, net.ErrClosed) {
 				return err
 			}
@@ -225,64 +163,59 @@ func (c *Collector) worker(ctx context.Context, w *worker) error {
 		}
 		bo.Reset()
 		if k > 0 {
-			handle(w.batch[:k])
+			handle(c.batch[:k])
 		}
 	}
 }
 
 // fillBatch receives one batch — blocking until at least one datagram is
-// queued — and decodes each datagram into the worker's reused batch slice,
+// queued — and decodes each datagram into the reused batch slice,
 // counting and rate-limited-logging the malformed ones. The log line names
 // the sender, so a switch sending garbage can be identified; its address
 // is converted only on that cold branch. The received counter is updated
-// once per batch. Returns the number of well-formed reports in w.batch.
+// once per batch. Returns the number of well-formed reports in c.batch.
 //
-// The shared socket is the fan-in point for every switch in the
-// deployment: a read deadline here would tear down ingest for all of them
-// during any quiet interval, and cancellation already reaches the parked
-// receive through ctx closing the socket.
+// The socket is the fan-in point for every switch in the deployment: a
+// read deadline here would tear down ingest for all of them during any
+// quiet interval, and cancellation already reaches the parked receive
+// through ctx closing the socket.
 //
 //lint:allocfree
-func (c *Collector) fillBatch(w *worker) (int, error) {
-	n, err := w.recv.read()
+func (c *Collector) fillBatch() (int, error) {
+	n, err := c.recv.read()
 	if err != nil {
 		return 0, err
 	}
 	k := 0
 	for i := range n {
-		if err := packet.UnmarshalReportInto(w.recv.datagram(i), &w.batch[k]); err != nil {
-			w.shard.malformed.Add(1)
-			c.logs.Printf("report: malformed datagram from %v: %v", w.recv.sender(i), err)
+		if err := packet.UnmarshalReportInto(c.recv.datagram(i), &c.batch[k]); err != nil {
+			c.malformed.Add(1)
+			c.logs.Printf("report: malformed datagram from %v: %v", c.recv.sender(i), err)
 			continue
 		}
 		k++
 	}
 	if k > 0 {
-		w.shard.received.Add(uint64(k))
+		c.received.Add(uint64(k))
 	}
 	return k, nil
 }
 
-// Received returns the count of well-formed reports processed, folded
-// across the worker shards.
-func (c *Collector) Received() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].received.Load()
-	}
-	return n
-}
+// Received returns the count of well-formed reports processed.
+func (c *Collector) Received() uint64 { return c.received.Load() }
 
-// Malformed returns the count of undecodable datagrams, folded across the
-// worker shards. Every malformed datagram is counted even when its log
-// line is rate-limited away.
-func (c *Collector) Malformed() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].malformed.Load()
-	}
-	return n
-}
+// Malformed returns the count of undecodable datagrams. Every malformed
+// datagram is counted even when its log line is rate-limited away.
+func (c *Collector) Malformed() uint64 { return c.malformed.Load() }
+
+// RecvCalls returns the number of receive system calls made. With
+// Received and Malformed it gives the datagrams each call took.
+func (c *Collector) RecvCalls() uint64 { return c.recv.calls.Load() }
+
+// RecvEmpty returns how many receive calls found the queue empty and
+// parked the reader: wakeups spent on nothing. It stays 0 where receives
+// block.
+func (c *Collector) RecvEmpty() uint64 { return c.recv.empty.Load() }
 
 // Close stops Run by closing the socket. It is safe to call more than once.
 func (c *Collector) Close() { c.conn.Close() }

@@ -2,12 +2,15 @@ package report
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
+	"net"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,7 +108,7 @@ func TestSenderToCollector(t *testing.T) {
 	}
 }
 
-// syncBuffer is a log destination the test can read while workers write.
+// syncBuffer is a log destination the test can read while the collector writes.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf strings.Builder // guarded by mu
@@ -141,8 +144,8 @@ func TestCollectorIgnoresGarbage(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("collector died on garbage")
 	}
-	// Another worker may deliver the good report before the one holding
-	// the garbage has counted and logged it.
+	// The garbage is counted and logged before the next batch reaches
+	// the handler, but the log line may land after the handler ran.
 	want := "malformed datagram from " + s.conn.LocalAddr().String() + ":"
 	deadline := time.Now().Add(3 * time.Second)
 	for c.Malformed() == 0 || !strings.Contains(logs.String(), want) {
@@ -154,7 +157,7 @@ func TestCollectorIgnoresGarbage(t *testing.T) {
 }
 
 // TestCollectorBatchesQueuedDatagrams queues a burst of two full batches
-// in the socket buffer before the (single) worker starts. No batch may
+// in the socket buffer before the collector starts. No batch may
 // exceed defaultBatch, and on Linux, where one recvmmsg takes everything
 // queued up to the batch size, the burst arrives as exactly two full
 // batches.
@@ -170,7 +173,7 @@ func TestCollectorBatchesQueuedDatagrams(t *testing.T) {
 			total += len(batch)
 			mu.Unlock()
 		}
-	}, nil, WithWorkers(1))
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +214,10 @@ func TestCollectorBatchesQueuedDatagrams(t *testing.T) {
 	}
 }
 
-// TestCollectorCloseStopsRun closes a running collector. With several
-// workers, one is parked in the netpoller and the rest wait on the
-// descriptor's read lock; Close must release all of them.
+// TestCollectorCloseStopsRun closes a running collector whose reader is
+// parked in the netpoller; Close must release it. WithWorkers is still
+// accepted and ignored, so every requested worker count must behave the
+// same.
 func TestCollectorCloseStopsRun(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -237,6 +241,87 @@ func TestCollectorCloseStopsRun(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectorKeepsReadingAfterSlowHandler blocks the one reader inside
+// its handler while more than a batch of datagrams queues up. Once the
+// handler returns, every queued datagram must be received within a
+// second: the reader must not park waiting for a readiness edge that
+// fired while it was busy. A Close while the handler is blocked must make
+// Run return once the handler does. The factory is called once.
+func TestCollectorKeepsReadingAfterSlowHandler(t *testing.T) {
+	type gate struct{ blocked, release chan struct{} }
+	gates := make(chan gate, 1) // a queued gate blocks the next batch
+	var got atomic.Int64
+	var factories atomic.Int32
+	c, err := NewCollector("127.0.0.1:0", func() func([]packet.Report) {
+		factories.Add(1)
+		return func(batch []packet.Report) {
+			got.Add(int64(len(batch)))
+			select {
+			case g := <-gates:
+				close(g.blocked)
+				<-g.release
+			default:
+			}
+		}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errCh := make(chan error, 1)
+	go func() { errCh <- c.Run(context.Background()) }()
+	s, err := NewSender(c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// block sends one report and waits until the handler holds it.
+	block := func() gate {
+		t.Helper()
+		g := gate{make(chan struct{}), make(chan struct{})}
+		gates <- g
+		s.HandleReport(sampleReport(0))
+		select {
+		case <-g.blocked:
+		case <-time.After(3 * time.Second):
+			t.Fatal("handler never saw the blocking report")
+		}
+		return g
+	}
+
+	g := block()
+	const n = 2 * defaultBatch
+	for i := range n {
+		s.HandleReport(sampleReport(i))
+	}
+	time.Sleep(50 * time.Millisecond) // let the datagrams land in the queue
+	close(g.release)
+	deadline := time.Now().Add(time.Second)
+	for got.Load() != n+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d/%d reports 1s after the handler returned", got.Load(), n+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	g = block()
+	c.Close()
+	close(g.release)
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Run returned %v after Close, want net.ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run did not return after Close during a blocked handler")
+	}
+	if f := factories.Load(); f != 1 {
+		t.Errorf("handler factory called %d times, want 1", f)
+	}
+}
+
 func TestSenderBadAddress(t *testing.T) {
 	if _, err := NewSender("this is not an address"); err == nil {
 		t.Fatal("garbage address accepted")

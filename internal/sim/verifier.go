@@ -1,6 +1,6 @@
 // Batch-verification helper for the measurement loops: pin one snapshot,
 // own one verdict cache, and reuse the buffers across injections — the
-// same pinned-snapshot batch discipline the collector workers follow (see
+// same pinned-snapshot batch discipline the collector's reader follows (see
 // Handle.Current's doc comment), so the experiments measure the production
 // verdict path rather than a bespoke single-shot one.
 

@@ -135,7 +135,7 @@ type engine struct {
 	mesh   []traffic.PingPair
 
 	mu     sync.Mutex
-	handle *core.Handle // guarded by mu; re-seated by restart-monitor while collector workers read it
+	handle *core.Handle // guarded by mu; re-seated by restart-monitor while the collector's reader reads it
 
 	collector *report.Collector
 	sender    *report.Sender
@@ -296,7 +296,7 @@ func (e *engine) newHandle() *core.Handle {
 	return core.NewHandle((&core.Builder{Net: e.env.Net, Space: e.env.Space, Params: e.env.Params, Configs: configs}).Build())
 }
 
-// currentHandle is the monitor the collector workers verify against; the
+// currentHandle is the monitor the collector's reader verifies against; the
 // restart-monitor action re-seats it.
 func (e *engine) currentHandle() *core.Handle {
 	e.mu.Lock()
@@ -313,10 +313,10 @@ func (e *engine) setHandle(h *core.Handle) {
 	e.mu.Unlock()
 }
 
-// batchHandler builds one collector worker's report handler. It exercises
-// the batched, cached verify path concurrently with the engine's
-// maintenance ops — each worker owns a private verdict cache, exactly the
-// production Monitor arrangement; its verdicts feed counters only — the
+// batchHandler builds the collector's report handler. It exercises the
+// batched, cached verify path concurrently with the engine's maintenance
+// ops — the reader owns a private verdict cache, exactly the production
+// Monitor arrangement; its verdicts feed counters only — the
 // deterministic trace comes from the synchronous probe phase.
 func (e *engine) batchHandler() func([]packet.Report) {
 	cache := core.NewVerdictCache(0)
@@ -339,7 +339,7 @@ func (e *engine) batchHandler() func([]packet.Report) {
 // startCollector boots one collector incarnation and points the relay's
 // UDP sender at it.
 func (e *engine) startCollector(ctx context.Context) error {
-	col, err := report.NewCollector("127.0.0.1:0", e.batchHandler, nil, report.WithWorkers(2))
+	col, err := report.NewCollector("127.0.0.1:0", e.batchHandler, nil)
 	if err != nil {
 		return err
 	}
@@ -358,7 +358,7 @@ func (e *engine) startCollector(ctx context.Context) error {
 }
 
 // stopCollector detaches the relay, cancels the incarnation, waits for
-// Run to return (workers joined ⇒ handler count settled), and folds the
+// Run to return (reader stopped ⇒ handler count settled), and folds the
 // incarnation's counters into the cumulative totals.
 func (e *engine) stopCollector() error {
 	e.relay.setDst(nil)
@@ -832,7 +832,7 @@ func (e *engine) probePhase(i int, rng *rand.Rand) (*Failure, error) {
 			e.lastReport = rep
 			// Cached arm: the engine goroutine is probeCache's single
 			// writer, so the probe phase runs the same batch API the
-			// collector workers use.
+			// collector's reader uses.
 			e.cacheIn[0] = *rep
 			snap.VerifyBatch(e.probeCache, e.cacheIn[:], e.cacheOut[:])
 			v := e.cacheOut[0]

@@ -8,7 +8,7 @@
 //	incremental-equiv  live updates (core.Handle.ApplyFlowMod: one rule's difference, re-runs under rewrites)
 //	no-false-positive  path-table construction + Algorithm 3 verification
 //	localization       Algorithm 4 PathInfer / FaultySwitch
-//	counter-fold       report pipeline (Sender → Collector worker pool)
+//	counter-fold       report pipeline (Sender → Collector)
 //	no-leak            lifecycle contract (ctx-governed Run/Close paths)
 
 package storm

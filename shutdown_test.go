@@ -4,8 +4,8 @@
 // is cancelled mid-stream. The contract under test is the one the
 // ctxprop/deadline/retrybound checkers enforce statically: cancellation
 // reaches every goroutine (none leak), every Serve/Run returns, and the
-// collector drains — its per-worker counters fold to exactly the number
-// of reports the monitor handled.
+// collector drains — its received counter equals exactly the number of
+// reports the monitor handled.
 package veridp_test
 
 import (
@@ -63,7 +63,7 @@ func TestShutdownLeaksNothing(t *testing.T) {
 		OnViolation: func(veridp.Violation) { handled.Add(1) },
 	})
 
-	collector, err := report.NewCollector("127.0.0.1:0", mon.BatchHandler, nil, report.WithWorkers(4))
+	collector, err := report.NewCollector("127.0.0.1:0", mon.BatchHandler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestShutdownLeaksNothing(t *testing.T) {
 		t.Fatal("cancel did not stop every Serve/Run within 10s")
 	}
 
-	// The collector has drained: its per-worker shard counters must fold
-	// to exactly the number of handler invocations — a report is either
-	// fully processed or never dispatched, nothing is half-counted.
+	// The collector has drained: its received counter must equal the
+	// number of handler invocations — a report is either fully processed
+	// or never dispatched, nothing is half-counted.
 	if got, want := collector.Received(), handled.Load(); got != want {
-		t.Errorf("collector.Received() = %d, monitor handled %d; shard counters did not fold cleanly", got, want)
+		t.Errorf("collector.Received() = %d, monitor handled %d; a batch was counted but not handled", got, want)
 	}
 	if m := collector.Malformed(); m != 0 {
 		t.Errorf("collector.Malformed() = %d, want 0", m)

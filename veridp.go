@@ -180,7 +180,7 @@ type Monitor struct {
 	mu      sync.Mutex
 	reasons map[string]uint64    // guarded by mu
 	blames  map[SwitchID]uint64  // guarded by mu
-	caches  []*core.VerdictCache // guarded by mu; one per BatchHandler worker
+	caches  []*core.VerdictCache // guarded by mu; one per BatchHandler closure
 }
 
 // NewMonitor builds a monitor over the network and the control plane's
@@ -218,12 +218,13 @@ func (m *Monitor) HandleReport(r *Report) {
 	m.tally(r, m.handle.Current().Verify(r))
 }
 
-// BatchHandler returns a batch-verification closure for one collector
-// worker — the factory report.NewCollector expects. Each closure owns a
-// private verdict cache (single-writer: no atomics on the probe path) and
-// a reusable verdict buffer; the whole batch is verified against one
-// pinned snapshot via core.Snapshot.VerifyBatch, then tallied through the
-// same callback plumbing as HandleReport. Reports passed to callbacks are
+// BatchHandler returns a batch-verification closure for one goroutine —
+// the factory report.NewCollector expects and calls once, for its one
+// reader. Each closure owns a private verdict cache (single-writer: no
+// atomics on the probe path) and a reusable verdict buffer; the whole
+// batch is verified against one pinned snapshot via
+// core.Snapshot.VerifyBatch, then tallied through the same callback
+// plumbing as HandleReport. Reports passed to callbacks are
 // only valid until the handler returns, exactly as the collector's batch
 // contract states.
 func (m *Monitor) BatchHandler() func([]Report) {
