@@ -79,9 +79,9 @@ func TestJSONOutput(t *testing.T) {
 func TestCheckerSelection(t *testing.T) {
 	scratch(t, map[string]string{"main.go": violation})
 	var stdout, stderr bytes.Buffer
-	// The violation is a lockedblock finding; running only mutexbyvalue
+	// The violation is a lockedblock finding; running only enumswitch
 	// must come back clean.
-	if code := run(&stdout, &stderr, []string{"-checkers", "mutexbyvalue", "./..."}); code != 0 {
+	if code := run(&stdout, &stderr, []string{"-checkers", "enumswitch", "./..."}); code != 0 {
 		t.Errorf("exit = %d, want 0\nstderr: %s", code, stderr.String())
 	}
 	stdout.Reset()
@@ -219,7 +219,7 @@ func TestStaleSuppressionsGolden(t *testing.T) {
 		"\t//lint:ignore lockedblock known send under lock\n\tx.ch <- 1\n", 1)
 	stale := `package scratch
 
-//lint:ignore goleak the goroutine this excused was removed
+//lint:ignore lifecycle the goroutine this excused was removed
 func nothingHere() {}
 `
 	scratch(t, map[string]string{"main.go": suppressed, "stale.go": stale})
@@ -236,7 +236,7 @@ func nothingHere() {}
 	if code := run(&stdout, &stderr, []string{"-stale-suppressions", "./..."}); code != 1 {
 		t.Fatalf("exit = %d, want 1 in maintenance mode\nstderr: %s", code, stderr.String())
 	}
-	wantOut := "stale.go:3: stale //lint:ignore goleak (\"the goroutine this excused was removed\") silences nothing — remove it\n"
+	wantOut := "stale.go:3: stale //lint:ignore lifecycle (\"the goroutine this excused was removed\") silences nothing — remove it\n"
 	if stdout.String() != wantOut {
 		t.Errorf("stdout = %q, want %q", stdout.String(), wantOut)
 	}
@@ -245,8 +245,8 @@ func nothingHere() {}
 		t.Errorf("stderr = %q, want %q", stderr.String(), wantSummary)
 	}
 
-	// A run restricted to checkers that exclude goleak must not condemn
-	// the goleak suppression it never evaluated.
+	// A run restricted to checkers that exclude lifecycle must not condemn
+	// the lifecycle suppression it never evaluated.
 	stdout.Reset()
 	stderr.Reset()
 	if code := run(&stdout, &stderr, []string{"-stale-suppressions", "-checkers", "lockedblock", "./..."}); code != 0 {
@@ -267,13 +267,13 @@ func nothingHere() {}
 		t.Fatalf("staleSuppressions = %+v, want exactly one", out)
 	}
 	s := out.StaleSuppressions[0]
-	if s.File != "stale.go" || s.Line != 3 || len(s.Checkers) != 1 || s.Checkers[0] != "goleak" {
-		t.Errorf("stale = %+v, want goleak at stale.go:3", s)
+	if s.File != "stale.go" || s.Line != 3 || len(s.Checkers) != 1 || s.Checkers[0] != "lifecycle" {
+		t.Errorf("stale = %+v, want lifecycle at stale.go:3", s)
 	}
 }
 
 // One relay type violating all three lifetime checkers at distinct
-// lines: an unstoppable spawned sleep-loop (ctxprop), an unbounded
+// lines: an unstoppable spawned sleep-loop (lifecycle), an unbounded
 // redial loop (retrybound), and a write on a conn no caller arms
 // (deadline).
 const lifetimeViolations = `package scratch
@@ -319,10 +319,10 @@ func (r *relay) flush() {
 func TestCtxFlowGolden(t *testing.T) {
 	scratch(t, map[string]string{"main.go": lifetimeViolations})
 	var stdout, stderr bytes.Buffer
-	if code := run(&stdout, &stderr, []string{"-checkers", "ctxprop,deadline,retrybound", "./..."}); code != 1 {
+	if code := run(&stdout, &stderr, []string{"-checkers", "lifecycle,deadline,retrybound", "./..."}); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr.String())
 	}
-	wantOut := "main.go:15:3: goroutine (spawned at main.go:14) loops forever into time.Sleep with no exit and no cancellation signal — accept and thread a context.Context or stop channel [ctxprop]\n" +
+	wantOut := "main.go:15:3: goroutine (spawned at main.go:14) loops forever into time.Sleep with no exit and no cancellation signal — accept and thread a context.Context or stop channel [lifecycle]\n" +
 		"main.go:23:2: loop retries net.Dial without a bound: add an attempt counter, a deadline/context check, or a capped backoff [retrybound]\n" +
 		"main.go:37:2: net.Conn.Write on r.conn reaches a caller (func@main.go:14 at main.go:17) that has not armed a write deadline; call SetWriteDeadline on every path or annotate `// lint:deadline conn=r.conn <reason>` [deadline]\n"
 	if stdout.String() != wantOut {
@@ -350,7 +350,7 @@ func TestCtxFlowGolden(t *testing.T) {
 func TestCtxFlowJSON(t *testing.T) {
 	scratch(t, map[string]string{"main.go": lifetimeViolations})
 	var stdout, stderr bytes.Buffer
-	if code := run(&stdout, &stderr, []string{"-json", "-checkers", "ctxprop,deadline,retrybound", "./..."}); code != 1 {
+	if code := run(&stdout, &stderr, []string{"-json", "-checkers", "lifecycle,deadline,retrybound", "./..."}); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr.String())
 	}
 	var out jsonOutput
@@ -364,7 +364,7 @@ func TestCtxFlowJSON(t *testing.T) {
 	for _, d := range out.Diagnostics {
 		byChecker[d.Checker] = d.Line
 	}
-	want := map[string]int{"ctxprop": 15, "retrybound": 23, "deadline": 37}
+	want := map[string]int{"lifecycle": 15, "retrybound": 23, "deadline": 37}
 	for checker, line := range want {
 		if byChecker[checker] != line {
 			t.Errorf("%s fired at line %d, want %d (all: %+v)", checker, byChecker[checker], line, out.Diagnostics)
@@ -377,7 +377,7 @@ func TestListCheckers(t *testing.T) {
 	if code := run(&stdout, &stderr, []string{"-list"}); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"lockorder", "lockedblock", "lifecycle", "goleak", "chanflow", "wgsync", "tickleak"} {
+	for _, name := range []string{"lockorder", "lockedblock", "lifecycle", "ctxprop", "chanflow", "wgsync", "tickleak"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output is missing checker %q", name)
 		}

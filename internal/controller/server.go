@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"veridp/internal/flowtable"
 	"veridp/internal/netutil"
 	"veridp/internal/openflow"
 	"veridp/internal/topo"
@@ -29,10 +28,9 @@ type Server struct {
 	acceptRetries atomic.Uint64 // temporary Accept errors retried with backoff
 
 	mu       sync.Mutex
-	conns    map[topo.SwitchID]*openflow.Conn      // guarded by mu
-	raws     map[net.Conn]struct{}                 // guarded by mu; accepted conns incl. pre-Hello
-	barriers map[barrierKey]chan struct{}          // guarded by mu
-	dumps    map[barrierKey]chan []*flowtable.Rule // guarded by mu
+	conns    map[topo.SwitchID]*openflow.Conn // guarded by mu
+	raws     map[net.Conn]struct{}            // guarded by mu; accepted conns incl. pre-Hello
+	barriers map[barrierKey]chan struct{}     // guarded by mu
 	arrived  *sync.Cond
 	closed   bool           // guarded by mu
 	listener net.Listener   // guarded by mu
@@ -51,7 +49,6 @@ func NewServer() *Server {
 		conns:    make(map[topo.SwitchID]*openflow.Conn),
 		raws:     make(map[net.Conn]struct{}),
 		barriers: make(map[barrierKey]chan struct{}),
-		dumps:    make(map[barrierKey]chan []*flowtable.Rule),
 	}
 	s.arrived = sync.NewCond(&s.mu)
 	return s
@@ -165,23 +162,6 @@ func (s *Server) serveConn(raw net.Conn) {
 				delete(s.barriers, barrierKey{sw, m.Xid})
 			}
 			s.mu.Unlock()
-		case openflow.TypeTableDumpReply:
-			rules, err := openflow.UnmarshalTableDump(m.Body)
-			s.mu.Lock()
-			ch, ok := s.dumps[barrierKey{sw, m.Xid}]
-			if ok {
-				delete(s.dumps, barrierKey{sw, m.Xid})
-			}
-			s.mu.Unlock()
-			// Deliver outside the lock: deleting the key above made this
-			// goroutine the channel's only sender, and the buffer of 1
-			// guarantees the send cannot park even if the waiter timed out.
-			if ok {
-				if err == nil {
-					ch <- rules
-				}
-				close(ch)
-			}
 		case openflow.TypeEchoRequest:
 			// A failed echo reply means the channel is dead; drop the
 			// connection rather than let the switch keep believing it is
@@ -280,42 +260,6 @@ func (s *Server) Barrier(sw topo.SwitchID) error {
 		delete(s.barriers, barrierKey{sw, xid})
 		s.mu.Unlock()
 		return fmt.Errorf("controller: barrier timeout on switch %d", sw)
-	}
-}
-
-// DumpTable fetches the switch's full physical flow table — the §3.1
-// "checking flow tables" design option. Expensive by construction: the
-// entire table crosses the wire on every audit.
-func (s *Server) DumpTable(sw topo.SwitchID) ([]*flowtable.Rule, error) {
-	c, err := s.conn(sw)
-	if err != nil {
-		return nil, err
-	}
-	// chan: buffered 1 — serveConn delivers outside s.mu; one slot lets its send-and-close finish even after this waiter times out
-	ch := make(chan []*flowtable.Rule, 1)
-	xid := c.NextXid()
-	s.mu.Lock()
-	s.dumps[barrierKey{sw, xid}] = ch
-	s.mu.Unlock()
-	if err := c.Send(&openflow.Message{Type: openflow.TypeTableDumpRequest, Xid: xid}); err != nil {
-		s.mu.Lock()
-		delete(s.dumps, barrierKey{sw, xid})
-		s.mu.Unlock()
-		return nil, err
-	}
-	t := time.NewTimer(s.Timeout)
-	defer t.Stop()
-	select {
-	case rules, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("controller: undecodable table dump from switch %d", sw)
-		}
-		return rules, nil
-	case <-t.C:
-		s.mu.Lock()
-		delete(s.dumps, barrierKey{sw, xid})
-		s.mu.Unlock()
-		return nil, fmt.Errorf("controller: table dump timeout on switch %d", sw)
 	}
 }
 

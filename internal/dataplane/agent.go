@@ -14,7 +14,6 @@ import (
 	"net"
 	"sync"
 
-	"veridp/internal/flowtable"
 	"veridp/internal/openflow"
 	"veridp/internal/packet"
 	"veridp/internal/topo"
@@ -93,12 +92,6 @@ func (a *Agent) handle(c *openflow.Conn, m *openflow.Message) error {
 		return a.packetOut(po)
 	case openflow.TypeEchoRequest:
 		return c.Send(&openflow.Message{Type: openflow.TypeEchoReply, Xid: m.Xid, Body: m.Body})
-	case openflow.TypeTableDumpRequest:
-		a.Mu.Lock()
-		rules := append([]*flowtable.Rule(nil), a.Fabric.Switch(a.ID).Config.Table.Rules()...)
-		body := openflow.MarshalTableDump(rules)
-		a.Mu.Unlock()
-		return c.Send(&openflow.Message{Type: openflow.TypeTableDumpReply, Xid: m.Xid, Body: body})
 	case openflow.TypeHello, openflow.TypeEchoReply, openflow.TypeBarrierReply, openflow.TypeError:
 		return nil // tolerated
 	default:

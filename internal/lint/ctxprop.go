@@ -2,7 +2,7 @@
 // monitor's long-lived goroutines (proxy splices, the collector's reader,
 // agent serve loops) park in blocking operations; the only way to shut
 // one down is a cancellation signal that reaches it, so the repo rule has
-// four clauses:
+// three clauses, all syntactic:
 //
 //  1. A context.Context parameter is the function's first parameter —
 //     the position every caller scans for when wiring cancellation.
@@ -13,21 +13,14 @@
 //  3. context.Background() and context.TODO() mint fresh root lifetimes,
 //     which is main's job (and the tests'); anywhere else they sever the
 //     caller's cancellation chain.
-//  4. A spawned goroutine that loops forever into blocking operations
-//     (net I/O, channel ops, time.Sleep, Wait — directly or through any
-//     resolvable call chain) with no exit and no cancellation-shaped
-//     select case has no shutdown path: it must accept and thread a
-//     context.Context or stop channel.
 //
-// Clause 4 deepens lifecycle: lifecycle demands stop signals for channel
-// loops, ctxprop demands them for every blocking loop — a sleep-poll
-// loop has no channel and still leaks.
+// Whether a spawned goroutine that loops into blocking operations has a
+// shutdown path at all is the lifecycle checker's question.
 
 package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -38,20 +31,15 @@ const ctxBoundPrefix = "ctx: bound to "
 
 // CtxProp enforces the context-threading discipline.
 var CtxProp = &Analyzer{
-	Name:   "ctxprop",
-	Doc:    "context.Context is threaded: first parameter only, never a struct field (unless `// ctx: bound to <lifetime>`), Background()/TODO() only in main; blocking goroutine loops need a cancellation signal",
-	Global: true,
-	Run:    runCtxProp,
+	Name: "ctxprop",
+	Doc:  "context.Context is threaded: first parameter only, never a struct field (unless `// ctx: bound to <lifetime>`), Background()/TODO() only in main",
+	Run:  runCtxProp,
 }
 
 func runCtxProp(pass *Pass) {
-	prog := pass.Prog
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			checkCtxFile(pass, pkg, file)
-		}
+	for _, file := range pass.Files {
+		checkCtxFile(pass, file)
 	}
-	checkBlockingLoops(pass)
 }
 
 // isContextType reports whether t is context.Context.
@@ -61,18 +49,18 @@ func isContextType(t types.Type) bool {
 }
 
 // checkCtxFile applies the three syntactic clauses to one file.
-func checkCtxFile(pass *Pass, pkg *Package, file *ast.File) {
+func checkCtxFile(pass *Pass, file *ast.File) {
 	inMain := file.Name.Name == "main"
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			checkCtxParams(pass, pkg, n.Type)
+			checkCtxParams(pass, n.Type)
 		case *ast.FuncLit:
 			// Literals inherit their context by capture; a ctx parameter
 			// on one is unusual but must still come first.
-			checkCtxParams(pass, pkg, n.Type)
+			checkCtxParams(pass, n.Type)
 		case *ast.StructType:
-			checkCtxFields(pass, pkg, n)
+			checkCtxFields(pass, n)
 		case *ast.CallExpr:
 			if inMain {
 				return true
@@ -81,7 +69,7 @@ func checkCtxFile(pass *Pass, pkg *Package, file *ast.File) {
 			if !ok {
 				return true
 			}
-			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 				return true
 			}
@@ -96,7 +84,7 @@ func checkCtxFile(pass *Pass, pkg *Package, file *ast.File) {
 
 // checkCtxParams reports context.Context parameters that are not the
 // first parameter.
-func checkCtxParams(pass *Pass, pkg *Package, ft *ast.FuncType) {
+func checkCtxParams(pass *Pass, ft *ast.FuncType) {
 	if ft.Params == nil {
 		return
 	}
@@ -106,7 +94,7 @@ func checkCtxParams(pass *Pass, pkg *Package, ft *ast.FuncType) {
 		if n == 0 {
 			n = 1
 		}
-		if isContextType(typeOf(pkg, field.Type)) && index > 0 {
+		if isContextType(pass.Info.Types[field.Type].Type) && index > 0 {
 			pass.Reportf(field.Pos(),
 				"context.Context must be the first parameter (found at parameter %d)", index+1)
 		}
@@ -116,9 +104,9 @@ func checkCtxParams(pass *Pass, pkg *Package, ft *ast.FuncType) {
 
 // checkCtxFields reports struct fields of type context.Context that lack
 // the `// ctx: bound to <lifetime>` annotation.
-func checkCtxFields(pass *Pass, pkg *Package, st *ast.StructType) {
+func checkCtxFields(pass *Pass, st *ast.StructType) {
 	for _, field := range st.Fields.List {
-		if !isContextType(typeOf(pkg, field.Type)) {
+		if !isContextType(pass.Info.Types[field.Type].Type) {
 			continue
 		}
 		if hasCtxBound(field.Doc) || hasCtxBound(field.Comment) {
@@ -142,104 +130,4 @@ func hasCtxBound(cg *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// checkBlockingLoops is clause 4: spawned goroutine bodies (literals and
-// named spawns, like lifecycle) must not loop forever into blocking
-// operations without a cancellation signal.
-func checkBlockingLoops(pass *Pass) {
-	prog := pass.Prog
-	blocks := prog.mayBlock()
-	reported := make(map[token.Pos]bool)
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				if fl, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-					checkBlockingBody(pass, pkg, fl.Body, gs.Go, blocks, reported)
-					return true
-				}
-				for _, callee := range prog.resolveCall(pkg, gs.Call) {
-					if callee.Decl != nil {
-						checkBlockingBody(pass, callee.Pkg, callee.Decl.Body, gs.Go, blocks, reported)
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// checkBlockingBody scans one goroutine body for condition-less loops
-// that reach a blocking operation and cannot exit. Nested literals are
-// separate goroutines (or stored closures) with their own spawn sites.
-func checkBlockingBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn token.Pos, blocks map[*FuncNode]*reached[blockSite], reported map[token.Pos]bool) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return
-		}
-		if loop, ok := n.(*ast.ForStmt); ok && loop.Cond == nil && !reported[loop.For] {
-			if what := loopBlocks(pass, pkg, loop.Body, blocks); what != "" && !loopCanExit(pkg, loop.Body, true) {
-				reported[loop.For] = true
-				pass.Reportf(loop.For,
-					"goroutine (spawned at %s) loops forever into %s with no exit and no cancellation signal — accept and thread a context.Context or stop channel",
-					pass.Prog.shortPos(spawn), what)
-			}
-		}
-		walkChildren(n, walk)
-	}
-	walk(body)
-}
-
-// loopBlocks names the first blocking operation the loop body reaches —
-// a direct channel op, an intrinsic blocker, or a resolvable call chain
-// that may block — or "" when the body cannot block.
-func loopBlocks(pass *Pass, pkg *Package, body *ast.BlockStmt, blocks map[*FuncNode]*reached[blockSite]) string {
-	found := ""
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if found != "" {
-			return
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.SendStmt:
-			found = "a channel send"
-			return
-		case *ast.SelectStmt:
-			found = "a select"
-			return
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = "a channel receive"
-				return
-			}
-		case *ast.RangeStmt:
-			if isChanType(typeOf(pkg, n.X)) {
-				found = "a channel range"
-				return
-			}
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if what := intrinsicBlock(pkg, sel); what != "" {
-					found = what
-					return
-				}
-			}
-			for _, callee := range pass.Prog.resolveCall(pkg, n) {
-				if info := blocks[callee]; info != nil {
-					found = info.at.what + " (via " + callee.Name + ")"
-					return
-				}
-			}
-		}
-		walkChildren(n, walk)
-	}
-	walk(body)
-	return found
 }

@@ -243,6 +243,21 @@ func selectDefault(s *ast.SelectStmt) *ast.CommClause {
 	return nil
 }
 
+// walkChildren applies f to each direct child node of n.
+func walkChildren(n ast.Node, f func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if c != nil {
+			f(c)
+		}
+		return false
+	})
+}
+
 // noState is the state of a flow-insensitive walk: every branch runs on,
 // and keeps, the one shared state.
 type noState struct{}

@@ -1,15 +1,25 @@
-// Checker lifecycle: every goroutine that loops on channel operations
-// must have a reachable stop signal. It deepens goleak in two ways, both
-// whole-program: `go f(...)` spawns of *named* functions are followed to
-// their declarations (goleak only sees literals), and `for range ch`
-// loops are only accepted when some loaded package actually closes that
-// channel — a range over a never-closed channel parks the goroutine
-// forever once senders stop.
+// Checker lifecycle: every spawned goroutine has a shutdown path. The
+// monitor's long-lived goroutines (proxy splices, the collector's reader,
+// agent serve loops) park in blocking operations, and the only way to
+// stop one is a signal that reaches it. Every `go` statement — a literal,
+// or a named function resolved through the call graph — has its spawned
+// body walked once, and each loop in it is reported at most once, on the
+// loop's line, when it has one of three shapes:
 //
-// A loop is accepted if it can exit: a return, a break that leaves the
-// loop, a select with a cancellation-shaped case (`<-ctx.Done()`-style,
-// `<-time.After(...)`, or comma-ok), or — for range loops — a close() of
-// the ranged channel class somewhere in the program.
+//  1. A condition-less `for` that reaches a blocking operation (a channel
+//     send, receive, range or select, time.Sleep, WaitGroup.Wait, net
+//     I/O — directly or through any resolvable call chain) and cannot
+//     exit. A sleep-poll loop has no channel and still leaks.
+//  2. A `range` over a channel that no loaded package closes, with no
+//     return or break. A close() in the spawner is credited to the
+//     spawned function's parameter through the spawn-site arguments.
+//  3. Any other loop — one that ends on its own — whose body receives
+//     from a channel and cannot exit: it parks in the receive forever
+//     once the sender stops.
+//
+// A loop can exit through a return, a break or goto that leaves it, or —
+// except for range loops — a select with a cancellation-shaped case
+// (`<-ctx.Done()`-style, `<-time.After(...)`, or comma-ok).
 
 package lint
 
@@ -19,16 +29,17 @@ import (
 	"go/types"
 )
 
-// Lifecycle reports goroutine channel loops with no shutdown path.
+// Lifecycle reports spawned goroutine loops with no shutdown path.
 var Lifecycle = &Analyzer{
 	Name:   "lifecycle",
-	Doc:    "goroutine channel loops must have a stop signal: ctx.Done()/quit select case, a reachable close, or a return/break",
+	Doc:    "spawned goroutines need a shutdown path: a loop that blocks, ranges over a never-closed channel, or receives must have a ctx.Done()/quit select case, a reachable close, or a return/break",
 	Global: true,
 	Run:    runLifecycle,
 }
 
 func runLifecycle(pass *Pass) {
 	prog := pass.Prog
+	blocks := prog.mayBlock()
 	reported := make(map[token.Pos]bool)
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
@@ -39,13 +50,13 @@ func runLifecycle(pass *Pass) {
 				}
 				if fl, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 					subst := paramSubst(pkg, gs.Call, pkg, fl.Type)
-					checkSpawnedBody(pass, pkg, fl.Body, gs.Go, subst, reported)
+					checkSpawnedBody(pass, pkg, fl.Body, gs.Go, subst, blocks, reported)
 					return true
 				}
 				for _, callee := range prog.resolveCall(pkg, gs.Call) {
 					if callee.Decl != nil {
 						subst := paramSubst(pkg, gs.Call, callee.Pkg, callee.Decl.Type)
-						checkSpawnedBody(pass, callee.Pkg, callee.Decl.Body, gs.Go, subst, reported)
+						checkSpawnedBody(pass, callee.Pkg, callee.Decl.Body, gs.Go, subst, blocks, reported)
 					}
 				}
 				return true
@@ -83,87 +94,143 @@ func paramSubst(callerPkg *Package, call *ast.CallExpr, calleePkg *Package, ft *
 	return subst
 }
 
-// checkSpawnedBody scans one goroutine body for channel loops with no
-// stop path. Nested function literals are skipped — they are separate
-// goroutines (or stored closures) with their own spawn sites.
-func checkSpawnedBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn token.Pos, subst map[string]string, reported map[token.Pos]bool) {
+// checkSpawnedBody reports every loop in one goroutine body that has no
+// shutdown path. Nested function literals are skipped — they are
+// separate goroutines (or stored closures) with their own spawn sites.
+func checkSpawnedBody(pass *Pass, pkg *Package, body *ast.BlockStmt, spawn token.Pos, subst map[string]string, blocks map[*FuncNode]*reached[blockSite], reported map[token.Pos]bool) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
+		var at token.Pos
+		var msg string
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return
-		case *ast.RangeStmt:
-			checkRangeLoop(pass, pkg, n, spawn, subst, reported)
 		case *ast.ForStmt:
-			checkForLoop(pass, pkg, n, spawn, reported)
+			if at = n.For; !reported[at] {
+				msg = forLoopLeak(pass, pkg, n, blocks)
+			}
+		case *ast.RangeStmt:
+			if at = n.For; !reported[at] {
+				msg = rangeLoopLeak(pass, pkg, n, subst)
+			}
+		}
+		if msg != "" {
+			reported[at] = true
+			pass.Reportf(at, "goroutine (spawned at %s) %s", pass.Prog.shortPos(spawn), msg)
 		}
 		walkChildren(n, walk)
 	}
 	walk(body)
 }
 
-// checkRangeLoop handles `for ... := range ch`: it exits only when ch is
-// closed or the body breaks out.
-func checkRangeLoop(pass *Pass, pkg *Package, loop *ast.RangeStmt, spawn token.Pos, subst map[string]string, reported map[token.Pos]bool) {
-	if !isChanType(typeOf(pkg, loop.X)) || reported[loop.For] {
-		return
+// forLoopLeak describes why a `for` loop never ends (shapes 1 and 3), or
+// returns "" when it has a way out.
+func forLoopLeak(pass *Pass, pkg *Package, loop *ast.ForStmt, blocks map[*FuncNode]*reached[blockSite]) string {
+	if loop.Cond != nil {
+		return receiveLoopLeak(pkg, loop.Body)
+	}
+	if what := loopBlocks(pass, pkg, loop.Body, blocks); what != "" && !loopCanExit(pkg, loop.Body, true) {
+		return "loops forever into " + what + " with no exit and no cancellation signal — accept and thread a context.Context or stop channel"
+	}
+	return ""
+}
+
+// rangeLoopLeak describes why a `range` loop never ends (shapes 2 and
+// 3), or returns "" when it has a way out. A range over a channel exits
+// only when the channel is closed or the body leaves the loop.
+func rangeLoopLeak(pass *Pass, pkg *Package, loop *ast.RangeStmt, subst map[string]string) string {
+	if !isChanType(typeOf(pkg, loop.X)) {
+		return receiveLoopLeak(pkg, loop.Body)
 	}
 	if loopCanExit(pkg, loop.Body, false) {
-		return
+		return ""
 	}
 	if key := chanKey(pkg, loop.X); key != "" {
 		if mapped, ok := subst[key]; ok {
 			key = mapped
 		}
 		if pass.Prog.closedChans[key] {
-			return
+			return receiveLoopLeak(pkg, loop.Body)
 		}
 	}
-	reported[loop.For] = true
-	pass.Reportf(loop.For,
-		"goroutine (spawned at %s) ranges over a channel that no loaded package closes and the loop has no return/break — no shutdown path",
-		pass.Prog.shortPos(spawn))
+	return "ranges over a channel that no loaded package closes and the loop has no return/break — no shutdown path"
 }
 
-// checkForLoop handles `for { ... }` loops whose body performs channel
-// operations; loops with a real condition terminate on their own.
-func checkForLoop(pass *Pass, pkg *Package, loop *ast.ForStmt, spawn token.Pos, reported map[token.Pos]bool) {
-	if loop.Cond != nil || reported[loop.For] || !hasChanOp(loop.Body) {
-		return
+// receiveLoopLeak is shape 3: a loop that ends on its own still parks
+// for good when its body receives from a channel whose sender has
+// stopped, unless the body can leave the loop.
+func receiveLoopLeak(pkg *Package, body *ast.BlockStmt) string {
+	if !loopReceives(body) || loopCanExit(pkg, body, true) {
+		return ""
 	}
-	if loopCanExit(pkg, loop.Body, true) {
-		return
-	}
-	reported[loop.For] = true
-	pass.Reportf(loop.For,
-		"goroutine (spawned at %s) loops forever on channel operations with no ctx.Done()/quit select case and no return/break — no shutdown path",
-		pass.Prog.shortPos(spawn))
+	return "receives from a channel in a loop with no ctx.Done()/close/timeout escape; it leaks if the sender stops"
 }
 
-// hasChanOp reports whether the loop body (excluding nested function
-// literals) performs any channel send, receive, or select.
-func hasChanOp(body *ast.BlockStmt) bool {
+// loopReceives reports whether the loop body receives from a channel,
+// outside nested function literals and nested loops (those are judged
+// on their own).
+func loopReceives(body *ast.BlockStmt) bool {
 	found := false
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
-		if found {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt:
+			return
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				found = true
+			}
+		}
+		if !found {
+			walkChildren(n, walk)
+		}
+	}
+	walkChildren(body, walk)
+	return found
+}
+
+// loopBlocks names the first blocking operation the loop body reaches —
+// a direct channel op, an intrinsic blocker, or a resolvable call chain
+// that may block — or "" when the body cannot block.
+func loopBlocks(pass *Pass, pkg *Package, body *ast.BlockStmt, blocks map[*FuncNode]*reached[blockSite]) string {
+	found := ""
+	var walk func(n ast.Node)
+	walk = func(n ast.Node) {
+		if found != "" {
 			return
 		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
+		case *ast.SendStmt:
+			found = "a channel send"
+			return
+		case *ast.SelectStmt:
+			found = "a select"
 			return
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				found = true
+				found = "a channel receive"
 				return
 			}
 		case *ast.RangeStmt:
-			return // nested loops are checked on their own
-		case *ast.ForStmt:
-			return
+			if isChanType(typeOf(pkg, n.X)) {
+				found = "a channel range"
+				return
+			}
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				if what := intrinsicBlock(pkg, sel); what != "" {
+					found = what
+					return
+				}
+			}
+			for _, callee := range pass.Prog.resolveCall(pkg, n) {
+				if info := blocks[callee]; info != nil {
+					found = info.at.what + " (via " + callee.Name + ")"
+					return
+				}
+			}
 		}
 		walkChildren(n, walk)
 	}
@@ -220,8 +287,9 @@ func loopCanExit(pkg *Package, body *ast.BlockStmt, selectSignals bool) bool {
 	return exits
 }
 
-// selectHasEscapeInfo is goleak's cancellation-case test, reusable from
-// the whole-program pass (which has no per-package Pass.Info).
+// selectHasEscapeInfo reports whether the select has a case that can
+// observe cancellation: a receive from a `*.Done()` call, a receive from
+// `time.After(...)`, or a comma-ok receive.
 func selectHasEscapeInfo(info *types.Info, sel *ast.SelectStmt) bool {
 	for _, clause := range sel.Body.List {
 		cc, ok := clause.(*ast.CommClause)

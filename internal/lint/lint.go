@@ -72,9 +72,7 @@ type Analyzer struct {
 
 // Analyzers lists every checker in registration order.
 var Analyzers = []*Analyzer{
-	MutexByValue,
 	GuardedBy,
-	GoLeak,
 	BDDMix,
 	SouthboundErr,
 	LockOrder,

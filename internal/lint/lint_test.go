@@ -190,7 +190,7 @@ func TestCheckerInteraction(t *testing.T) {
 }
 
 // TestCtxFlowInteraction pins the composition contract for the three
-// lifetime checkers: one relay type seeds a ctxprop violation (spawned
+// lifetime checkers: one relay type seeds a lifecycle violation (spawned
 // sleep-loop with no cancellation), a retrybound violation (unbounded
 // redial), and a deadline violation (write on a never-armed conn), and
 // each checker reports exactly its own finding at a distinct position.
@@ -205,7 +205,7 @@ func TestCtxFlowInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run([]*Package{pkg}, []*Analyzer{CtxProp, Deadline, RetryBound}).Diags
+	diags := Run([]*Package{pkg}, []*Analyzer{Lifecycle, Deadline, RetryBound}).Diags
 
 	lines := make(map[string][]int) // checker -> bad.go lines it fired on
 	for _, d := range diags {
@@ -215,20 +215,20 @@ func TestCtxFlowInteraction(t *testing.T) {
 		}
 		lines[d.Checker] = append(lines[d.Checker], d.Pos.Line)
 	}
-	cp, dl, rb := lines["ctxprop"], lines["deadline"], lines["retrybound"]
-	if len(cp) != 1 || len(dl) != 1 || len(rb) != 1 {
-		t.Fatalf("want exactly one finding per checker, got ctxprop=%v deadline=%v retrybound=%v (all: %v)",
-			cp, dl, rb, diags)
+	lc, dl, rb := lines["lifecycle"], lines["deadline"], lines["retrybound"]
+	if len(lc) != 1 || len(dl) != 1 || len(rb) != 1 {
+		t.Fatalf("want exactly one finding per checker, got lifecycle=%v deadline=%v retrybound=%v (all: %v)",
+			lc, dl, rb, diags)
 	}
-	if cp[0] == dl[0] || cp[0] == rb[0] || dl[0] == rb[0] {
-		t.Errorf("findings share a line (ctxprop=%d deadline=%d retrybound=%d); the corpus seeds them at distinct positions",
-			cp[0], dl[0], rb[0])
+	if lc[0] == dl[0] || lc[0] == rb[0] || dl[0] == rb[0] {
+		t.Errorf("findings share a line (lifecycle=%d deadline=%d retrybound=%d); the corpus seeds them at distinct positions",
+			lc[0], dl[0], rb[0])
 	}
 	for _, d := range diags {
 		switch d.Checker {
-		case "ctxprop":
+		case "lifecycle":
 			if !strings.Contains(d.Message, "no exit and no cancellation signal") {
-				t.Errorf("ctxprop diagnostic %q is not about the unstoppable loop", d.Message)
+				t.Errorf("lifecycle diagnostic %q is not about the unstoppable loop", d.Message)
 			}
 		case "deadline":
 			if !strings.Contains(d.Message, "has not armed") {

@@ -1,6 +1,6 @@
 // Known-bad corpus for the ctxflow interaction test: one relay type
 // violates all three lifetime checkers at distinct positions — the
-// spawned heartbeat loops forever with no cancellation (ctxprop), the
+// spawned heartbeat loops forever with no cancellation (lifecycle), the
 // reconnect loop retries dialing unboundedly (retrybound), and the
 // flush writes on a conn no caller ever arms (deadline). Each checker
 // must report its own violation without masking the others.

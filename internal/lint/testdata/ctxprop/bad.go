@@ -1,19 +1,14 @@
 // Known-bad corpus for the ctxprop checker: a context parameter buried
-// mid-signature, a context stored in an unannotated struct field, a
-// fresh root context minted outside main, and a spawned goroutine that
-// sleep-polls forever with no cancellation path.
+// mid-signature, a context stored in an unannotated struct field, and a
+// fresh root context minted outside main.
 
 package ctxprop
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 type server struct {
 	name string
 	ctx  context.Context // want "stored in a struct field"
-	hits int
 }
 
 // The context hides at position two; every caller wiring cancellation
@@ -27,15 +22,4 @@ func (s *server) dialWith(addr string, ctx context.Context) error { // want "mus
 // caller was governed by.
 func (s *server) refresh() {
 	s.ctx = context.Background() // want "severs the caller's cancellation chain"
-}
-
-// The spawned poller loops forever into time.Sleep: no return, no
-// break, no select escape — it can never be shut down.
-func (s *server) startPoller() {
-	go func() {
-		for { // want "loops forever into"
-			time.Sleep(10 * time.Millisecond)
-			s.hits++
-		}
-	}()
 }

@@ -1,41 +1,18 @@
 // Known-good corpus for the ctxprop checker: the context rides first in
-// every signature, the one stored context names its lifetime, and the
-// spawned poller watches ctx.Done() so cancellation reaches it.
+// every signature, and the one stored context names its lifetime.
 
 package ctxprop
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 type worker struct {
 	name string
 	// ctx: bound to the Serve call that started this worker
-	ctx   context.Context
-	beats int
+	ctx context.Context
 }
 
 // Context first, everything else after.
 func (w *worker) dial(ctx context.Context, addr string) error {
 	_ = addr
 	return ctx.Err()
-}
-
-// The poller loops into time.Sleep too — but the select escape case
-// gives cancellation a way in, so the loop can exit.
-func (w *worker) startPoller(ctx context.Context, stop chan struct{}) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-stop:
-				return
-			default:
-			}
-			time.Sleep(10 * time.Millisecond)
-			w.beats++
-		}
-	}()
 }

@@ -1,8 +1,9 @@
 // Known-good corpus for the lifecycle checker: every accepted shutdown
 // shape — ctx.Done()/time.After select cases, comma-ok receive with
 // return, bounded loops, labeled break out of a select, break out of a
-// range, and a ranged channel whose close() in the spawner is credited
-// through the spawn-site argument substitution.
+// range, a ranged channel whose close() in the spawner is credited
+// through the spawn-site argument substitution, a sleep-poll loop with
+// a select escape, and a single receive outside any loop.
 
 package lifecycle
 
@@ -115,4 +116,66 @@ func consume(ch chan int, done chan []int) {
 		got = append(got, v)
 	}
 	done <- got
+}
+
+// The poller loops into time.Sleep too — but the select escape case
+// gives cancellation a way in, so the loop can exit.
+func (l *loopset) startPoller(ctx context.Context) {
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-l.quit:
+				return
+			default:
+			}
+			time.Sleep(10 * time.Millisecond)
+			l.out = append(l.out, 0)
+		}
+	}()
+}
+
+func commaOkWorker(ch chan int, out chan<- int) {
+	go func() {
+		for {
+			v, ok := <-ch
+			if !ok {
+				return
+			}
+			out <- v
+		}
+	}()
+}
+
+func ctxWorker(ctx context.Context, ch chan int) {
+	go func() {
+		for {
+			select {
+			case v := <-ch:
+				_ = v
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+}
+
+func timeoutLoop(ch chan int) {
+	go func() {
+		for {
+			select {
+			case v := <-ch:
+				_ = v
+			case <-time.After(time.Second):
+				return
+			}
+		}
+	}()
+}
+
+func boundedWait(ch chan int) {
+	go func() {
+		<-ch // a single receive is bounded, not a loop
+	}()
 }

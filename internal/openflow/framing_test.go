@@ -83,7 +83,7 @@ func recvAll(data []byte, step int) ([]*Message, error) {
 // and one byte per read, give the same messages and the same first error;
 // and sending those messages again reproduces the stream they came from.
 func FuzzConnRecv(f *testing.F) {
-	big := encodeFrame(&Message{Type: TypeTableDumpReply, Xid: 7, Body: bytes.Repeat([]byte{0xab}, 3*readBufSize)})
+	big := encodeFrame(&Message{Type: TypeEchoRequest, Xid: 7, Body: bytes.Repeat([]byte{0xab}, 3*readBufSize)})
 	f.Add(append(big, encodeFrame(&Message{Type: TypeBarrierReply, Xid: 8})...))
 	f.Add(big[:2*readBufSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -123,7 +123,7 @@ func roundTrip(t *testing.T, data []byte) {
 	}
 	body := bytes.Repeat(data, int(binary.BigEndian.Uint16(data))/len(data)+1)[:binary.BigEndian.Uint16(data)]
 	out := &streamConn{}
-	err := NewConn(out).Send(&Message{Type: TypeTableDumpReply, Xid: 9, Body: body})
+	err := NewConn(out).Send(&Message{Type: TypeEchoRequest, Xid: 9, Body: body})
 	if len(body) > maxBody {
 		if err == nil || len(out.written) > 0 {
 			t.Fatalf("%d-byte body: send returned %v and wrote %d bytes; want an error and no bytes", len(body), err, len(out.written))
@@ -137,7 +137,7 @@ func roundTrip(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("%d-byte body: recv: %v", len(body), err)
 	}
-	if m.Type != TypeTableDumpReply || m.Xid != 9 || !bytes.Equal(m.Body, body) {
+	if m.Type != TypeEchoRequest || m.Xid != 9 || !bytes.Equal(m.Body, body) {
 		t.Fatalf("%d-byte body came back as %v xid %d with %d bytes", len(body), m.Type, m.Xid, len(m.Body))
 	}
 }
@@ -147,7 +147,7 @@ func roundTrip(t *testing.T, data []byte) {
 // socket; a body of exactly maxBody round-trips.
 func TestSendRejectsOversizedBody(t *testing.T) {
 	out := &streamConn{}
-	if err := NewConn(out).Send(&Message{Type: TypeTableDumpReply, Body: make([]byte, maxBody+1)}); err == nil {
+	if err := NewConn(out).Send(&Message{Type: TypeEchoRequest, Body: make([]byte, maxBody+1)}); err == nil {
 		t.Fatal("oversized body sent")
 	}
 	if len(out.written) > 0 {

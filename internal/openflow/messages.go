@@ -36,12 +36,6 @@ const (
 	TypeBarrierReply
 	TypePacketOut
 	TypeError
-	// TypeTableDumpRequest asks a switch for its full flow table;
-	// TypeTableDumpReply carries it back. This is the "periodically check
-	// the health of rules at switches' flow tables" design option §3.1
-	// weighs (and rejects as inefficient); implemented for the comparison.
-	TypeTableDumpRequest
-	TypeTableDumpReply
 )
 
 // String names the message type.
@@ -63,10 +57,6 @@ func (t MsgType) String() string {
 		return "PacketOut"
 	case TypeError:
 		return "Error"
-	case TypeTableDumpRequest:
-		return "TableDumpRequest"
-	case TypeTableDumpReply:
-		return "TableDumpReply"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -309,11 +299,13 @@ func UnmarshalFlowMod(b []byte) (*FlowMod, error) {
 	return f, nil
 }
 
-// ruleWireLen is one serialized rule in a TableDumpReply: ID, priority,
+// ruleWireLen is one serialized rule in a table dump: ID, priority,
 // match, action, out port, rewrite.
 const ruleWireLen = 8 + 2 + matchLen + 1 + 2 + rewriteLen
 
-// MarshalTableDump encodes a flow table snapshot as a dump-reply body.
+// MarshalTableDump encodes a flow table snapshot as a table dump: a rule
+// count, then one fixed-size record per rule. The table cache stores it
+// and the §3.1 table audit measures its size; it never crosses the wire.
 func MarshalTableDump(rules []*flowtable.Rule) []byte {
 	b := make([]byte, 4+len(rules)*ruleWireLen)
 	binary.BigEndian.PutUint32(b[0:4], uint32(len(rules)))
@@ -330,7 +322,7 @@ func MarshalTableDump(rules []*flowtable.Rule) []byte {
 	return b
 }
 
-// UnmarshalTableDump decodes a dump-reply body.
+// UnmarshalTableDump decodes a table dump.
 func UnmarshalTableDump(b []byte) ([]*flowtable.Rule, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("openflow: table dump truncated")

@@ -31,10 +31,6 @@ type ProxyHooks struct {
 	OnFlowMod func(sw topo.SwitchID, f *FlowMod)
 	// OnBarrierReply fires for every switch→controller BarrierReply.
 	OnBarrierReply func(sw topo.SwitchID, xid uint32)
-	// OnConnect fires when a switch completes its Hello through the proxy.
-	OnConnect func(sw topo.SwitchID)
-	// OnDisconnect fires when either side of a proxied session closes.
-	OnDisconnect func(sw topo.SwitchID)
 }
 
 // Proxy accepts switch connections and splices each to its own upstream
@@ -212,14 +208,6 @@ func (p *Proxy) serveSwitch(ctx context.Context, raw net.Conn) {
 		return
 	}
 	p.logf("switch %d connected via %v", sw, raw.RemoteAddr())
-	if p.hooks.OnConnect != nil {
-		p.hooks.OnConnect(sw)
-	}
-	defer func() {
-		if p.hooks.OnDisconnect != nil {
-			p.hooks.OnDisconnect(sw)
-		}
-	}()
 
 	// Join both splice legs before the deferred teardown runs: each leg
 	// unblocks the other's parked Recv by closing the conn it writes to,

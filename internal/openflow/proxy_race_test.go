@@ -68,7 +68,6 @@ func TestProxyCloseJoinsSpliceLegs(t *testing.T) {
 	}
 	hooks := ProxyHooks{
 		OnBarrierReply: func(topo.SwitchID, uint32) { record() },
-		OnDisconnect:   func(topo.SwitchID) { record() },
 	}
 	proxy := NewProxy(ctrlL.Addr().String(), hooks, nil)
 	proxyL, err := net.Listen("tcp", "127.0.0.1:0")

@@ -52,11 +52,6 @@ func wireCases() map[MsgType]wireCase {
 			OutPort: 2,
 			Rewrite: &header.Rewrite{SetDstIP: true, DstIP: 0x0a000102, SetSrcPort: true, SrcPort: 9999},
 		}}
-	dump := MarshalTableDump([]*flowtable.Rule{
-		{ID: 1, Priority: 2, Action: flowtable.ActOutput, OutPort: 3},
-		{ID: 2, Priority: 9, Action: flowtable.ActDrop,
-			Rewrite: &header.Rewrite{SetSrcIP: true, SrcIP: 1}},
-	})
 	po := &PacketOut{Port: 5, Data: []byte("injected frame")}
 	em := &ErrorMsg{Xid: 42, Reason: "table full"}
 
@@ -72,24 +67,16 @@ func wireCases() map[MsgType]wireCase {
 			binary.BigEndian.PutUint16(out, uint16(topo.SwitchID(binary.BigEndian.Uint16(b[:2]))))
 			return out, nil
 		}},
-		TypeEchoRequest:      {rebody: identityEmpty},
-		TypeEchoReply:        {rebody: identityEmpty},
-		TypeBarrierRequest:   {rebody: identityEmpty},
-		TypeBarrierReply:     {rebody: identityEmpty},
-		TypeTableDumpRequest: {rebody: identityEmpty},
+		TypeEchoRequest:    {rebody: identityEmpty},
+		TypeEchoReply:      {rebody: identityEmpty},
+		TypeBarrierRequest: {rebody: identityEmpty},
+		TypeBarrierReply:   {rebody: identityEmpty},
 		TypeFlowMod: {body: fm.Marshal(), rebody: func(b []byte) ([]byte, error) {
 			f, err := UnmarshalFlowMod(b)
 			if err != nil {
 				return nil, err
 			}
 			return f.Marshal(), nil
-		}},
-		TypeTableDumpReply: {body: dump, rebody: func(b []byte) ([]byte, error) {
-			rules, err := UnmarshalTableDump(b)
-			if err != nil {
-				return nil, err
-			}
-			return MarshalTableDump(rules), nil
 		}},
 		TypePacketOut: {body: po.Marshal(), rebody: func(b []byte) ([]byte, error) {
 			p, err := UnmarshalPacketOut(b)

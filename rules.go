@@ -2,7 +2,7 @@
 // Everything the Monitor verifies against — path entries, header-set BDDs,
 // transfer functions, tags — is derived by Algorithm 2 from the rules the
 // proxy intercepted, so the cache holds only those rules: each switch's
-// flow table as one table-dump reply body (openflow.MarshalTableDump),
+// flow table as one table dump (openflow.MarshalTableDump),
 // under a header that names the topology they were learned on. A restart
 // decodes them and rebuilds, under the running binary and its own tag
 // parameters.
